@@ -20,6 +20,7 @@ from .equilibrium import (
     boundary_equilibrium,
     derived_quantities,
     equilibrium,
+    equilibrium_batch,
     partial_policies,
     protection_binds,
     region_candidates,
@@ -92,6 +93,7 @@ __all__ = [
     "derive_constants",
     "derived_quantities",
     "equilibrium",
+    "equilibrium_batch",
     "estimate_memory",
     "euler_reference",
     "exponential_adjustment",

@@ -247,9 +247,10 @@ def _write_figures(fig_dir: Path, rows, rc: RunConfig) -> None:
     protection panels (1, 0.9, 0.6).
     """
     fig_dir.mkdir(parents=True, exist_ok=True)
-    by_key = {}
+    cells = {}  # ((p, Lambda), y) -> the first row at that grid point
     for row in rows:
-        by_key.setdefault((row.p, row.Lambda), []).append(row)
+        cells.setdefault(((row.p, row.Lambda), row.y), row)
+    ys = sorted({row.y for row in rows})
     panel_orders = {"Lambda": [0.0, -5.0, 5.0], "p": [1.0, 0.9, 0.6]}
     lam_vals = [v for v in panel_orders["Lambda"] if v in rc.Lambda_list]
     p_vals = [v for v in panel_orders["p"] if v in rc.p_list]
@@ -269,13 +270,12 @@ def _write_figures(fig_dir: Path, rows, rc: RunConfig) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["y"] + [c for c, _ in cols])
-            ys = sorted({row.y for row in rows})
             for y in ys:
                 rec = [csvio.fmt(y)]
                 for _, key in cols:
-                    match = [r for r in by_key.get(key, []) if r.y == y]
-                    if match and match[0].result is not None and match[0].result.exists:
-                        rec.append(csvio.fmt(getattr(match[0].result, field)))
+                    row = cells.get((key, y))
+                    if row is not None and row.result is not None and row.result.exists:
+                        rec.append(csvio.fmt(getattr(row.result, field)))
                     else:
                         rec.append("")
                 w.writerow(rec)

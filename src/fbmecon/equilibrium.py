@@ -11,7 +11,8 @@ diversion, is piecewise quadratic in the stock holding n_C with four
 candidate optimizers:
 
     Region 1: interior optimum of the constraint-binding branch
-              (x = (1 - p) n_C), a fixed point solved by bracketed bisection;
+              (x = (1 - p) n_C), a fixed point whose defining function is a
+              cubic in n_C, solved in closed form (companion eigenvalues);
     Region 2: interior optimum of the cost-tempered branch (x = (1 - n_C)/k),
               in closed form;
     Region 3: the kink n_C = 1 / (1 + (1 - p) k);
@@ -21,10 +22,16 @@ A region is self-consistent when its own candidate maximizes the objective
 evaluated under that region's prices; if no region passes, the equilibrium
 does not exist and the four objective tables are returned as diagnostics.
 
+Every state is priced by one vectorised code path, :func:`equilibrium_batch`:
+the parameter constants are derived and validated once per batch, and every
+formula is elementwise over the states, so a scalar solve is a batch of one.
+A state whose adjustment evaluation fails or whose formulas produce a
+non-finite value gets its own error; the other states of the batch still
+price.
+
 Everything is scale-free in the output level: prices enter only through the
 ratios D/S, D/W_C, S/W_C.  Bond positions need the time integral of the rate
-along a path and are therefore not state functions; they are intentionally
-not part of the single-state result.
+along a path and are therefore not part of the single-state result.
 """
 
 from __future__ import annotations
@@ -36,10 +43,12 @@ import numpy as np
 
 from .params import (
     AdjustmentFns,
+    DerivedParams,
     ModelParams,
     adjustment_eval,
     default_adjustment,
     derive_constants,
+    validate,
 )
 
 __all__ = [
@@ -54,6 +63,7 @@ __all__ = [
     "protection_binds",
     "region_candidates",
     "equilibrium",
+    "equilibrium_batch",
     "benchmark_equilibrium",
     "boundary_equilibrium",
     "benchmark_differences",
@@ -62,10 +72,10 @@ __all__ = [
     "sweep",
 ]
 
-#: Bisection interval tolerance for the Region-1 fixed point.
-BISECT_TOL = 1e-12
-#: Sign-scan resolution over [0, 1] for bracketing the fixed point.
-SCAN_STEP = 1e-3
+#: Consumption share of the interior state whose region picks the y = 0 branch.
+_PROBE_Y = 1e-4
+#: Region codes of a batch beyond the interior regions 1-4.
+_NONEXISTENT, _BOUNDARY = 0, 5
 
 
 class EquilibriumError(RuntimeError):
@@ -87,9 +97,9 @@ class MarketState:
             raise ValueError("memory levels must be finite")
 
 
-def x_star(n_C: float, k: float, p: float) -> float:
-    """Optimal diverted fraction min{(1 - n_C)/k, (1 - p) n_C}."""
-    return min((1.0 - n_C) / k, (1.0 - p) * n_C)
+def x_star(n_C, k: float, p: float):
+    """Optimal diverted fraction min{(1 - n_C)/k, (1 - p) n_C}, elementwise."""
+    return np.minimum((1.0 - n_C) / k, (1.0 - p) * n_C)
 
 
 def protection_binds(n_C: float, k: float, p: float) -> bool:
@@ -98,175 +108,233 @@ def protection_binds(n_C: float, k: float, p: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# State-level scalars shared by every formula
+# Per-parameter constants and per-state context
 
 
 @dataclass(frozen=True)
-class _Ctx:
-    y: float
-    Lam: float
-    lam: float
-    mu_D: float
-    sigma_D: float
-    H: float
-    eps: float
-    h: float
-    k: float
-    p: float
-    l_C: float
-    l_M: float
-    net_l: float
-    delta_C: float
-    delta_M: float
-    theta_C: float
-    theta_M: float
-    varphi: float
-    r1: float
-    r2: float
-    qC: float  # consumption/wealth ratio of C: rho^(1/delta_C) varphi^theta_C
-    qM: float
-    C: float  # (1-y)/qC + y/qM, the wealth aggregator
-    A: float  # sigma_D - (h/eps) r1 (theta_C (1-y) + theta_M y)
-    D_S: float
-    D_WC: float
-    S_WC: float
-    S_WM: float
-    sqrt2H: float
-    eph: float  # eps^h
+class _Consts:
+    """Constants of one parameter set, derived and validated once per batch."""
+
+    params: ModelParams
+    d: DerivedParams
+    adjustment: AdjustmentFns
+    vol: float  # sqrt(2H) eps^h, the volatility scale of the memory kernel
     e2h: float  # eps^(2h)
+    hh: float  # H h^2 eps^(2h-2)
+    net_l: float  # 1 - l_C - l_M
+    n3: float  # the kink holding 1 / (1 + (1 - p) k)
 
 
-def _context(state: MarketState, params: ModelParams, adjustment: AdjustmentFns) -> _Ctx:
+def _constants(params: ModelParams, adjustment: AdjustmentFns | None = None) -> _Consts:
+    """Validate the parameters and derive every state-independent constant.
+
+    Raises:
+        ValueError: listing every hard error :func:`validate` reports.
+    """
+    report = validate(params)
+    if not report.ok:
+        raise ValueError("invalid parameters: " + "; ".join(report.errors))
     d = derive_constants(params)
-    varphi, r1, r2 = adjustment_eval(adjustment, state.Lambda)
-    y = state.y
-    qC = params.rho ** (1.0 / d.delta_C) * varphi**d.theta_C
-    qM = params.rho ** (1.0 / d.delta_M) * varphi**d.theta_M
-    C = (1.0 - y) / qC + y / qM
-    net_l = 1.0 - params.l_C - params.l_M
     eps = params.epsilon
-    A = params.sigma_D - (d.h / eps) * r1 * (d.theta_C * (1.0 - y) + d.theta_M * y)
-    return _Ctx(
-        y=y,
-        Lam=state.Lambda,
-        lam=state.lambda_small,
-        mu_D=params.mu_D,
-        sigma_D=params.sigma_D,
-        H=params.H,
-        eps=eps,
-        h=d.h,
-        k=params.k,
-        p=params.p,
-        l_C=params.l_C,
-        l_M=params.l_M,
-        net_l=net_l,
-        delta_C=d.delta_C,
-        delta_M=d.delta_M,
-        theta_C=d.theta_C,
-        theta_M=d.theta_M,
-        varphi=varphi,
-        r1=r1,
-        r2=r2,
-        qC=qC,
-        qM=qM,
-        C=C,
-        A=A,
-        D_S=net_l / C,
-        D_WC=net_l * qC / (1.0 - y) if y < 1.0 else math.inf,
-        S_WC=C * qC / (1.0 - y) if y < 1.0 else math.inf,
-        S_WM=C * qM / y if y > 0.0 else math.inf,
-        sqrt2H=math.sqrt(2.0 * params.H),
-        eph=eps**d.h,
+    return _Consts(
+        params=params,
+        d=d,
+        adjustment=adjustment or default_adjustment(params),
+        vol=math.sqrt(2.0 * params.H) * eps**d.h,
         e2h=eps ** (2.0 * d.h),
+        hh=params.H * d.h * d.h * eps ** (2.0 * d.h - 2.0),
+        net_l=1.0 - params.l_C - params.l_M,
+        n3=1.0 / (1.0 + (1.0 - params.p) * params.k),
     )
 
 
-def _B(c: _Ctx, n: float) -> float:
-    return n * c.qC + (1.0 - n) * c.qM
+class _Failures:
+    """The first error of each state of a batch; None while the state prices."""
+
+    def __init__(self, y: np.ndarray, Lam: np.ndarray):
+        self.y, self.Lam = y, Lam
+        self.err: list[Exception | None] = [None] * len(y)
+
+    def put(self, i: int, exc: Exception) -> None:
+        """Record ``exc`` for state i unless it already failed."""
+        if self.err[i] is None:
+            self.err[i] = exc
+
+    def flag(self, mask, text, kind=EquilibriumError) -> None:
+        """Record ``kind(text(i))`` (or ``kind(text)``) for each masked state."""
+        if not mask.any():
+            return
+        for i in np.flatnonzero(mask).tolist():
+            self.put(i, kind(text(i) if callable(text) else text))
+
+    def at(self, i: int) -> str:
+        return f"y={self.y[i]:g}, Lambda={self.Lam[i]:g}"
+
+    def ok(self) -> np.ndarray:
+        return np.array([e is None for e in self.err], dtype=bool)
 
 
-def _sigma(c: _Ctx, n_C: float) -> float:
-    return c.A / (_B(c, n_C) * c.C)
+@dataclass
+class _Ctx:
+    """Per-state quantities of a batch: one array entry per state."""
+
+    m: _Consts
+    y: np.ndarray
+    Lam: np.ndarray
+    lam: np.ndarray
+    r1: np.ndarray  # varphi'/varphi
+    r2: np.ndarray  # varphi''/varphi
+    qC: np.ndarray  # consumption/wealth ratio of C: rho^(1/delta_C) varphi^theta_C
+    qM: np.ndarray
+    C: np.ndarray  # (1-y)/qC + y/qM, the wealth aggregator
+    A: np.ndarray  # sigma_D - (h/eps) r1 (theta_C (1-y) + theta_M y)
+    D_S: np.ndarray
+    D_WC: np.ndarray
+    S_WC: np.ndarray
+    S_WM: np.ndarray
+    cons_M: np.ndarray  # qM - theta_M lam r1 - H h^2 eps^(2h-2) theta_M ((theta_M-1) r1^2 + r2)
+    r0: np.ndarray  # the part of the interest rate free of holdings and diversion
+    w_C: np.ndarray  # (1-y) + y qC/qM
+    w_M: np.ndarray  # y + (1-y) qM/qC
+    a_C: np.ndarray  # 2H h eps^(2h-1) theta_C r1
+    a_M: np.ndarray
 
 
-def _kappa(c: _Ctx, n_C: float) -> float:
-    return c.sqrt2H * c.eph * c.delta_M * c.qM * (1.0 - n_C) * c.A / (c.y * _B(c, n_C))
+def _adjust(m: _Consts, Lam: np.ndarray, fail: _Failures) -> np.ndarray:
+    """(varphi, varphi'/varphi, varphi''/varphi) per state, one call per memory level.
+
+    A memory level at which the adjustment maps raise (an overflowing
+    exponential, say) fails the states at that level only.
+    """
+    levels = Lam.tolist()
+    vals: dict[float, tuple | str] = {}
+    for L in levels:
+        if L not in vals:
+            try:
+                vals[L] = adjustment_eval(m.adjustment, L)
+            except (ArithmeticError, ValueError) as exc:
+                vals[L] = f"adjustment functions failed at Lambda={L:g}: {exc}"
+    rows = [vals[L] for L in levels]
+    for i, v in enumerate(rows):
+        if isinstance(v, str):
+            fail.put(i, EquilibriumError(v))
+            rows[i] = (math.nan,) * 3
+    return np.array(rows, dtype=float).reshape(-1, 3).T
 
 
-def _rate(c: _Ctx, n_C: float, x: float, kappa: float, sigma: float) -> float:
-    t_kC = c.sqrt2H * c.eph * kappa + 2.0 * c.H * c.h * c.eps ** (2.0 * c.h - 1.0) * c.theta_C * c.r1
-    t_kM = c.sqrt2H * c.eph * kappa + 2.0 * c.H * c.h * c.eps ** (2.0 * c.h - 1.0) * c.theta_M * c.r1
-    wC = (1.0 - c.y) + c.y * (c.qC / c.qM)
-    wM = c.y + (1.0 - c.y) * (c.qM / c.qC)
-    hh = c.H * c.h * c.h * c.eps ** (2.0 * c.h - 2.0)
-    consC = c.qC - c.theta_C * c.lam * c.r1 - hh * c.theta_C * ((c.theta_C - 1.0) * c.r1**2 + c.r2)
-    consM = c.qM - c.theta_M * c.lam * c.r1 - hh * c.theta_M * ((c.theta_M - 1.0) * c.r1**2 + c.r2)
-    cost = (x - 0.5 * c.k * x * x) * c.net_l * c.qC + 0.5 * c.k * x * x * c.net_l * c.qM
+def _context(m: _Consts, y, Lam, lam) -> tuple[_Ctx, _Failures]:
+    """Per-state context of a batch plus its failure record.
+
+    Invalid states (y outside [0, 1], non-finite memory) fail with a
+    ValueError; non-finite state quantities fail with an EquilibriumError.
+    """
+    y, Lam, lam = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, Lam, lam))
+    fail = _Failures(y, Lam)
+    fail.flag(~((y >= 0.0) & (y <= 1.0)),
+              lambda i: f"consumption share y must lie in [0, 1], got {float(y[i])!r}", ValueError)
+    fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
+    P, d = m.params, m.d
+    varphi, r1, r2 = _adjust(m, Lam, fail)
+    qC = P.rho ** (1.0 / d.delta_C) * varphi**d.theta_C
+    qM = P.rho ** (1.0 / d.delta_M) * varphi**d.theta_M
+    C = (1.0 - y) / qC + y / qM
+    A = P.sigma_D - (d.h / P.epsilon) * r1 * (d.theta_C * (1.0 - y) + d.theta_M * y)
+    finite = np.isfinite([qC, qM, C, A])
+    labels = ("consumption-wealth ratio of C", "consumption-wealth ratio of M",
+              "wealth aggregator", "volatility numerator")
+    fail.flag(~finite.all(axis=0),
+              lambda i: f"non-finite {labels[int(np.argmin(finite[:, i]))]} at {fail.at(i)}")
+    hh = m.hh
+    cons_C = qC - d.theta_C * lam * r1 - hh * d.theta_C * ((d.theta_C - 1.0) * r1 * r1 + r2)
+    cons_M = qM - d.theta_M * lam * r1 - hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r2)
+    a1 = 2.0 * P.H * d.h * P.epsilon ** (2.0 * d.h - 1.0) * r1
+    c = _Ctx(
+        m=m, y=y, Lam=Lam, lam=lam, r1=r1, r2=r2, qC=qC, qM=qM, C=C, A=A,
+        D_S=m.net_l / C,
+        D_WC=m.net_l * qC / (1.0 - y),
+        S_WC=C * qC / (1.0 - y),
+        S_WM=C * qM / y,
+        cons_M=cons_M,
+        r0=(P.mu_D + P.sigma_D * Lam - P.l_C * qC - P.l_M * qM
+            + (1.0 - y) * cons_C + y * cons_M),
+        w_C=(1.0 - y) + y * (qC / qM),
+        w_M=y + (1.0 - y) * (qM / qC),
+        a_C=d.theta_C * a1,
+        a_M=d.theta_M * a1,
+    )
+    return c, fail
+
+
+# ---------------------------------------------------------------------------
+# The formula set: elementwise over states, broadcasting over a leading
+# candidate axis (holdings of shape (k, S) against per-state arrays (S,))
+
+
+def _rate(c: _Ctx, n_C, x, kappa, sigma):
+    m = c.m
+    vk = m.vol * kappa
+    cost = 0.5 * m.params.k * x * x
     return (
-        c.mu_D
-        + c.sigma_D * c.Lam
-        - c.l_C * c.qC
-        - c.l_M * c.qM
-        - n_C * sigma * t_kC * wC
-        - (1.0 - n_C) * sigma * t_kM * wM
-        + (1.0 - c.y) * consC
-        + c.y * consM
-        - cost
+        c.r0
+        - sigma * (n_C * (vk + c.a_C) * c.w_C + (1.0 - n_C) * (vk + c.a_M) * c.w_M)
+        - m.net_l * ((x - cost) * c.qC + cost * c.qM)
     )
 
 
-def _mu(c: _Ctx, r: float, sigma: float, kappa: float, x: float) -> float:
-    return r - sigma * c.Lam + c.sqrt2H * c.eph * kappa * sigma - (1.0 - x) * c.D_S
+def _mu(c: _Ctx, r, sigma, kappa, x):
+    return r - sigma * c.Lam + c.m.vol * kappa * sigma - (1.0 - x) * c.D_S
 
 
-def _sigma_y(c: _Ctx, kappa: float) -> float:
-    return c.y * (kappa / (c.sqrt2H * c.eph * c.delta_M) + c.theta_M * (c.h / c.eps) * c.r1 - c.sigma_D)
+def _sigma_y(c: _Ctx, kappa):
+    P, d = c.m.params, c.m.d
+    return c.y * (kappa / (c.m.vol * d.delta_M) + d.theta_M * (d.h / P.epsilon) * c.r1 - P.sigma_D)
 
 
-def _mu_y(c: _Ctx, x: float, kappa: float, r: float, sigma_y: float) -> float:
-    hh = c.H * c.h * c.h * c.eps ** (2.0 * c.h - 2.0)
-    bracket = (
-        r
-        - c.mu_D
-        - c.sigma_D * c.Lam
-        + kappa**2 / c.delta_M
-        + c.sqrt2H * c.h * c.eps ** (c.h - 1.0) * c.theta_M * c.r1 * kappa / c.delta_M
-        - c.qM
-        + c.theta_M * c.lam * c.r1
-        + hh * c.theta_M * ((c.theta_M - 1.0) * c.r1**2 + c.r2)
-    )
+def _mu_y(c: _Ctx, x, kappa, r, sigma_y):
+    m, P, d = c.m, c.m.params, c.m.d
+    k1 = math.sqrt(2.0 * P.H) * d.h * P.epsilon ** (d.h - 1.0) * d.theta_M
+    bracket = r - P.mu_D - P.sigma_D * c.Lam + kappa * (kappa + k1 * c.r1) / d.delta_M - c.cons_M
     return (
-        -sigma_y * (c.Lam + 2.0 * c.H * c.e2h * c.sigma_D)
-        + c.l_M * c.qM
-        + 0.5 * c.k * x * x * c.net_l * c.qM
+        -sigma_y * (c.Lam + 2.0 * P.H * m.e2h * P.sigma_D)
+        + P.l_M * c.qM
+        + 0.5 * P.k * x * x * m.net_l * c.qM
         + c.y * bracket
     )
 
 
-def _J(c: _Ctx, n: float, x: float, r: float, mu: float, sigma: float) -> float:
+def _J(c: _Ctx, n, x, r, mu, sigma):
     """Controlling shareholder's objective at holding n and diversion x."""
+    P = c.m.params
     return (
         n * c.S_WC * (mu - r + (1.0 - x) * c.D_S + sigma * c.Lam)
         + x * c.D_WC
-        - 0.5 * c.k * x * x * c.D_WC
-        - c.H * c.e2h * c.delta_C * (c.S_WC * sigma) ** 2 * n * n
+        - 0.5 * P.k * x * x * c.D_WC
+        - P.H * c.m.e2h * c.m.d.delta_C * (c.S_WC * sigma) ** 2 * n * n
     )
 
 
-def _region_prices(c: _Ctx, n_C: float) -> tuple[float, float, float, float, float]:
+def _prices(c: _Ctx, n_C):
     """(x, sigma, kappa, r, mu) under the prices generated by holding n_C."""
-    x = x_star(n_C, c.k, c.p)
-    sigma = _sigma(c, n_C)
-    kappa = _kappa(c, n_C)
+    m = c.m
+    x = x_star(n_C, m.params.k, m.params.p)
+    B = n_C * c.qC + (1.0 - n_C) * c.qM
+    sigma = c.A / (B * c.C)
+    kappa = m.vol * m.d.delta_M * c.qM * (1.0 - n_C) * c.A / (c.y * B)
     r = _rate(c, n_C, x, kappa, sigma)
-    mu = _mu(c, r, sigma, kappa, x)
-    for name, v in (("sigma", sigma), ("kappa", kappa), ("r", r), ("mu", mu)):
-        if not math.isfinite(v):
-            raise EquilibriumError(
-                f"{name} formula produced a non-finite value at y={c.y:g}, "
-                f"Lambda={c.Lam:g}, n_C={n_C:g}"
-            )
-    return x, sigma, kappa, r, mu
+    return x, sigma, kappa, r, _mu(c, r, sigma, kappa, x)
+
+
+def _derived(vol: float, Lam, mu, sigma, x, D_S):
+    """(mu_H, sigma_H, mu_G): memory-adjusted return, shock volatility, gross return."""
+    mu_H = mu + sigma * Lam
+    return mu_H, vol * sigma, mu_H + (1.0 - x) * D_S
+
+
+def _n2(c: _Ctx):
+    """Closed-form Region-2 holding (the full-protection benchmark holding)."""
+    aC = (1.0 - c.y) / (c.m.d.delta_C * c.qC)
+    aM = c.y / (c.m.d.delta_M * c.qM)
+    return aC / (aC + aM)
 
 
 # ---------------------------------------------------------------------------
@@ -282,119 +350,113 @@ class RegionCandidates:
     n1_roots: list[float]
 
 
-def _fixed_point_g(c: _Ctx, n2: float, n3: float):
-    """The bracketing function g whose zeros are Region-1 candidates."""
-    if c.A == 0.0:
-        raise EquilibriumError(
-            "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
-            "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined"
-        )
-    G = (
-        (1.0 - c.p)
-        * c.net_l
-        * c.y
-        / (2.0 * c.H * c.e2h * c.delta_M * c.qM * c.A * c.A)
-    )
+@np.errstate(all="ignore")
+def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
+    """Every root in [0, 1] of g(n) = -n + n2 + a (1 - n/n3) (b0 + b1 n)^2.
 
-    def g(n):
-        B = n * c.qC + (1.0 - n) * c.qM
-        return -n + n2 + n2 * (1.0 - n / n3) * G * B * B
+    g is the cubic c3 n^3 + c2 n^2 + c1 n + c0 with c3 = -a b1^2/n3,
+    c2 = a (b1^2 - 2 b0 b1/n3), c1 = a (2 b0 b1 - b0^2/n3) - 1 and
+    c0 = n2 + a b0^2.  Its roots are the reciprocals of the eigenvalues of the
+    companion matrix of the reversed polynomial c0 m^3 + c1 m^2 + c2 m + c3,
+    whose leading coefficient c0 = g(0) > 0 does not vanish when the cubic
+    degenerates (a = 0 at full protection, b1 = 0 for equal consumption
+    ratios), so no degree needs a case of its own.  Each real root in [0, 1]
+    is polished by one Newton step on g in its factored form; at a = 0 the
+    step returns n2 exactly.
 
-    return g
-
-
-def _bisect(g, a: float, b: float, ga: float, gb: float) -> float:
-    """Plain bisection on a sign-change bracket down to BISECT_TOL width."""
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    while b - a > BISECT_TOL:
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if gm == 0.0:
-            return m
-        if (ga > 0) != (gm > 0):
-            b, gb = m, gm
-        else:
-            a, ga = m, gm
-    return 0.5 * (a + b)
-
-
-def _n1_roots(c: _Ctx, n2: float, n3: float) -> list[float]:
-    """All Region-1 fixed points in [0, 1] caught by sign scan + bisection."""
-    if c.p == 1.0:
-        # correction coefficient is identically zero: g(n) = n2 - n exactly
-        return [n2]
-    g = _fixed_point_g(c, n2, n3)
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / SCAN_STEP)) + 1)
-    B = grid * c.qC + (1.0 - grid) * c.qM
-    G = (1.0 - c.p) * c.net_l * c.y / (2.0 * c.H * c.e2h * c.delta_M * c.qM * c.A * c.A)
-    vals = -grid + n2 + n2 * (1.0 - grid / n3) * G * B * B
-    if not np.all(np.isfinite(vals)):
-        raise EquilibriumError("fixed-point function g is non-finite on [0, 1]")
-    if not (vals[0] >= 0.0 >= vals[-1]):
-        raise EquilibriumError(
-            f"bracket guarantee failed: g(0)={vals[0]:g}, g(1)={vals[-1]:g} "
-            "(expected g(0) >= 0 >= g(1))"
-        )
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        ga, gb = vals[i], vals[i + 1]
-        if ga == 0.0:
-            roots.append(grid[i])
-        elif (ga > 0) != (gb > 0):
-            roots.append(_bisect(g, grid[i], grid[i + 1], ga, gb))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    deduped: list[float] = []
-    for rt in roots:
-        if not deduped or rt - deduped[-1] > 1e-9:
-            deduped.append(rt)
-    if not deduped:
-        raise EquilibriumError(
-            "no sign change found on [0, 1] despite the bracket guarantee"
-        )
-    return deduped
-
-
-def _candidates(c: _Ctx) -> RegionCandidates:
-    aC = (1.0 - c.y) / (c.delta_C * c.qC)
-    aM = c.y / (c.delta_M * c.qM)
-    n2 = aC / (aC + aM)
-    n3 = 1.0 / (1.0 + (1.0 - c.p) * c.k)
-    roots = _n1_roots(c, n2, n3)
-    if len(roots) == 1:
-        n1 = roots[0]
-    else:
-        # keep the objective-maximizing root under its own Region-1 prices
-        best, best_J = roots[0], -math.inf
-        for rt in roots:
-            x, sig, kap, r, mu = _region_prices(c, rt)
-            val = _J(c, rt, x, r, mu, sig)
-            if val > best_J:
-                best, best_J = rt, val
-        n1 = best
-    n = (n1, n2, n3, 1.0)
-    avail = tuple(math.isfinite(v) and 0.0 <= v <= 1.0 for v in n)
-    return RegionCandidates(n=n, available=avail, n1_roots=roots)
-
-
-def region_candidates(
-    state: MarketState, params: ModelParams, adjustment: AdjustmentFns | None = None
-) -> RegionCandidates:
-    """The four candidate holdings at one state (y strictly interior).
-
-    The Region-1 candidate solves the fixed-point equation by a sign scan at
-    resolution 1e-3 plus bisection to interval width 1e-12 on every bracket;
-    existence of a root in [0, 1] is guaranteed (g(0) >= 0 >= g(1), asserted)
-    but uniqueness is not, so all bracketed roots are retained and the
-    objective-best one is reported first.
+    Arguments broadcast to (S,); returns (3, S): each state's roots in
+    ascending order, padded with NaN.  A state with non-finite coefficients
+    has no roots.
     """
-    if not 0.0 < state.y < 1.0:
-        raise ValueError("region candidates require y strictly inside (0, 1)")
-    adj = adjustment or default_adjustment(params)
-    return _candidates(_context(state, params, adj))
+    c3 = -a * b1 * b1 / n3
+    c2 = a * (b1 * b1 - 2.0 * b0 * b1 / n3)
+    c1 = a * (2.0 * b0 * b1 - b0 * b0 / n3) - 1.0
+    c0 = n2 + a * b0 * b0
+    comp = np.zeros(np.shape(c0) + (3, 3))
+    comp[..., 0, 0] = -c1 / c0
+    comp[..., 0, 1] = -c2 / c0
+    comp[..., 0, 2] = -c3 / c0
+    comp[..., 1, 0] = comp[..., 2, 1] = 1.0
+    comp[~np.isfinite(comp).all(axis=(-2, -1))] = 0.0
+    m = np.linalg.eigvals(comp).T
+    n = 1.0 / m.real
+    n = np.where((m.imag == 0.0) & (n >= 0.0) & (n <= 1.0), n, np.nan)
+    B = b0 + b1 * n
+    u = 1.0 - n / n3
+    g = -n + n2 + a * u * B * B
+    dg = -1.0 + a * (2.0 * b1 * u * B - B * B / n3)
+    n = n - g / dg
+    return np.sort(np.where((n >= 0.0) & (n <= 1.0), n, np.nan), axis=0)
+
+
+def _candidates(c: _Ctx, fail: _Failures, live):
+    """Candidate holdings (4, S), their prices, and the fixed-point roots (3, S).
+
+    Region 1 takes the root whose objective under its own prices is largest
+    (the smallest such root on ties).  ``live`` masks the interior states
+    whose failures are recorded.
+    """
+    m, P, d = c.m, c.m.params, c.m.d
+    n2 = _n2(c)
+    G = (1.0 - P.p) * m.net_l * c.y / (2.0 * P.H * m.e2h * d.delta_M * c.qM * c.A * c.A)
+    a = np.where(c.A == 0.0, 0.0, n2 * G)  # at p = 1 the fixed point is n2 for any A
+    if P.p < 1.0:
+        fail.flag(live & (c.A == 0.0),
+                  "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
+                  "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")
+    g0 = n2 + a * c.qM * c.qM
+    g1 = n2 - 1.0 + a * (1.0 - 1.0 / m.n3) * c.qC * c.qC
+    fail.flag(live & ~((g0 >= 0.0) & (g1 <= 0.0)),
+              lambda i: f"bracket guarantee failed: g(0)={g0[i]:g}, g(1)={g1[i]:g} "
+                        "(expected g(0) >= 0 >= g(1))")
+    roots = _fixed_point_roots(n2, m.n3, a, c.qM, c.qC - c.qM)
+    fail.flag(live & np.isnan(roots[0]),
+              "no Region-1 fixed point found on [0, 1] despite the bracket guarantee")
+
+    ones = np.ones_like(n2)
+    cols = np.concatenate([roots, [n2, m.n3 * ones, ones]])
+    # [holding, x, sigma, kappa, r, mu] of the three roots and three closed forms
+    table = np.array([cols, *_prices(c, cols)])
+    finite = np.isfinite(table[2:])
+    bad = ~np.isnan(cols) & ~finite.all(axis=0)
+
+    def bad_price(i):
+        j = int(np.argmax(bad[:, i]))
+        name = ("sigma", "kappa", "r", "mu")[int(np.argmin(finite[:, j, i]))]
+        return (f"{name} formula produced a non-finite value at {fail.at(i)}, "
+                f"n_C={cols[j, i]:g}")
+
+    fail.flag(live & bad.any(axis=0), bad_price)
+
+    n, x, sigma, kappa, r, mu = table[:, :3]
+    J_roots = _J(c, n, x, r, mu, sigma)
+    best = np.where(np.isfinite(J_roots), J_roots, -np.inf).argmax(axis=0)
+    picked = np.concatenate([table[:, best, np.arange(len(best))][:, None], table[:, 3:]], axis=1)
+    return picked[0], tuple(picked[1:]), roots
+
+
+def _select(c: _Ctx, n, prices, live):
+    """Self-consistency tests: region codes, objective tables and availability.
+
+    Region j is self-consistent when its candidate attains the largest
+    objective, under region-j prices, among the available candidates (each
+    paying its own optimal diversion).  The lowest self-consistent region
+    wins; at p = 1 a Region-1 selection is labeled 2 (the fixed point is the
+    closed form exactly), matching the benchmark economy.
+    """
+    x, sigma, kappa, r, mu = prices
+    avail = np.isfinite(n) & (n >= 0.0) & (n <= 1.0)
+    T = _J(c, n[None], x[None], r[:, None], mu[:, None], sigma[:, None])  # [region, candidate]
+    T = np.where(avail[None], T, np.nan)
+    finite = np.isfinite(T)
+    top = np.where(finite, T, -np.inf).max(axis=1)
+    diag = T[np.arange(4), np.arange(4)]
+    consistent = avail & finite.any(axis=1) & (diag >= top)
+    j = consistent.argmax(axis=0)
+    code = np.where(consistent.any(axis=0), j + 1, _NONEXISTENT)
+    if c.m.params.p == 1.0:
+        code = np.where(code == 1, 2, code)
+    return np.where(live, code, _NONEXISTENT), j, T, avail
 
 
 # ---------------------------------------------------------------------------
@@ -444,53 +506,136 @@ def derived_quantities(eq: EquilibriumResult, params: ModelParams) -> tuple[floa
     shock, and mu_G = mu_H + (1 - x*) D/S adds back the undiverted dividend
     yield.
     """
-    h = params.H - 0.5
-    eq.mu_H = eq.mu + eq.sigma * eq.state.Lambda
-    eq.sigma_H = math.sqrt(2.0 * params.H) * params.epsilon**h * eq.sigma
-    eq.mu_G = eq.mu_H + (1.0 - eq.x_star) * eq.D_over_S
+    eq.mu_H, eq.sigma_H, eq.mu_G = _derived(
+        _constants(params).vol, eq.state.Lambda, eq.mu, eq.sigma, eq.x_star, eq.D_over_S
+    )
     return eq.mu_H, eq.sigma_H, eq.mu_G
 
 
-def _result_from_prices(
-    c: _Ctx,
-    params: ModelParams,
-    region: int | str,
-    n_C: float,
-    x: float,
-    sigma: float,
-    kappa: float,
-    r: float,
-    mu: float,
-    sigma_y: float | None = None,
-    J_tables=None,
-    candidates=None,
-) -> EquilibriumResult:
-    sy = _sigma_y(c, kappa) if sigma_y is None else sigma_y
-    my = _mu_y(c, x, kappa, r, sy)
-    eq = EquilibriumResult(
-        state=MarketState(c.y, c.Lam, c.lam),
-        p=c.p,
-        region=region,
-        exists=True,
-        n_C=n_C,
-        n_M=1.0 - n_C,
-        x_star=x,
-        r=r,
-        mu=mu,
-        sigma=sigma,
-        kappa=kappa,
-        mu_y=my,
-        sigma_y=sy,
-        D_over_S=c.D_S,
-        D_over_WC=c.D_WC,
-        S_over_WC=c.S_WC,
-        c_coeff_C=c.qC,
-        c_coeff_M=c.qM,
-        J_tables=J_tables,
-        candidates=candidates,
+_PRICE_FIELDS = ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa", "mu_y", "sigma_y",
+                 "mu_H", "sigma_H", "mu_G")
+_STATE_FIELDS = ("D_over_S", "D_over_WC", "S_over_WC", "c_coeff_C", "c_coeff_M")
+
+
+def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa,
+            tables=None, cands=None, avail=None) -> list:
+    """Price the selected holdings and build the first ``count`` states' results.
+
+    Boundary and interior states share the rate, drift and derived-quantity
+    formulas; sigma_y is zero at the boundary.  A state that failed, or
+    whose existing equilibrium has a non-finite field, yields its error.
+    """
+    exists = code != _NONEXISTENT
+    r = _rate(c, n_C, x, kappa, sigma)
+    mu = _mu(c, r, sigma, kappa, x)
+    sigma_y = np.where(code == _BOUNDARY, 0.0, _sigma_y(c, kappa))
+    mu_y = _mu_y(c, x, kappa, r, sigma_y)
+    mu_H, sigma_H, mu_G = _derived(c.m.vol, c.Lam, mu, sigma, x, c.D_S)
+    priced = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y,
+                       mu_H, sigma_H, mu_G, c.D_S])
+    finite = np.isfinite(priced)
+    fail.flag(exists & ~finite.all(axis=0), lambda i: (
+        f"non-finite {(*_PRICE_FIELDS, 'D_over_S')[int(np.argmin(finite[:, i]))]} at {fail.at(i)}"))
+    cols = np.where(exists, priced[:-1], np.nan)[:, :count].tolist()
+    cols += np.array([c.D_S, c.D_WC, c.S_WC, c.qC, c.qM])[:, :count].tolist()
+    names = _PRICE_FIELDS + _STATE_FIELDS
+    ys, Ls, ls, codes = (v[:count].tolist() for v in (c.y, c.Lam, c.lam, code))
+    if tables is not None:
+        tables = np.moveaxis(tables, -1, 0)[:count].tolist()
+        cands = cands.T[:count].tolist()
+        avail = avail.T[:count].tolist()
+    p = c.m.params.p
+    results: list = []
+    for s in range(count):
+        if fail.err[s] is not None:
+            results.append(fail.err[s])
+            continue
+        kw = {name: col[s] for name, col in zip(names, cols)}
+        if codes[s] != _BOUNDARY and tables is not None:
+            kw["J_tables"] = {j + 1: tuple(row) for j, row in enumerate(tables[s]) if avail[s][j]}
+            kw["candidates"] = tuple(cands[s])
+        region = {_NONEXISTENT: "nonexistent", _BOUNDARY: "boundary"}.get(codes[s], codes[s])
+        results.append(EquilibriumResult(
+            state=MarketState(ys[s], Ls[s], ls[s]), p=p, region=region,
+            exists=codes[s] != _NONEXISTENT, **kw,
+        ))
+    return results
+
+
+@np.errstate(all="ignore")
+def _solve(m: _Consts, y, Lam, lam, branch_hint: int | None = None) -> list:
+    """Equilibria of the states (y, Lam, lam): one result or error per state.
+
+    A y = 0 state with p < 1 takes its branch from the region of the interior
+    state at y = _PROBE_Y (same memory levels), which joins the batch, unless
+    ``branch_hint`` names the region.
+    """
+    count = len(y)
+    probed = np.flatnonzero((y == 0.0) & (m.params.p < 1.0) & (branch_hint is None))
+    if len(probed):
+        y = np.concatenate([y, np.full(len(probed), _PROBE_Y)])
+        Lam = np.concatenate([Lam, Lam[probed]])
+        lam = np.concatenate([lam, lam[probed]])
+    c, fail = _context(m, y, Lam, lam)
+    interior = (y > 0.0) & (y < 1.0)
+    live = interior & fail.ok()
+    n, prices, _ = _candidates(c, fail, live)
+    code, j, tables, avail = _select(c, n, prices, live)
+    idx = np.arange(len(y))
+    n_C, x, sigma, kappa = (v[j, idx] for v in (n, *prices[:3]))
+
+    # boundary states: explicit limits, the y = 0 Sharpe ratio on one of two branches
+    at0 = y == 0.0
+    zero_branch = at0 & (m.params.p < 1.0) & (branch_hint == 4)
+    for k, s in enumerate(probed.tolist()):
+        q = count + k
+        if fail.err[q] is not None:
+            fail.put(s, fail.err[q])
+        elif code[q] == _NONEXISTENT:
+            fail.put(s, EquilibriumError(
+                f"cannot infer the y=0 branch: no interior equilibrium at y={_PROBE_Y:g}"))
+        zero_branch[s] = code[q] == 4
+    d = m.d
+    kappa_b = np.where(at0, np.where(zero_branch, 0.0, m.vol * d.delta_C * c.A),
+                       m.vol * d.delta_M * c.A)
+    boundary = ~interior
+    code = np.where(boundary, _BOUNDARY, code)
+    return _finish(
+        c, fail, count, code,
+        n_C=np.where(boundary, 1.0 - y, n_C),
+        x=np.where(boundary, 0.0, x),
+        sigma=np.where(boundary, c.A, sigma),
+        kappa=np.where(boundary, kappa_b, kappa),
+        tables=tables, cands=n, avail=avail,
     )
-    derived_quantities(eq, params)
-    return eq
+
+
+def _raise_if_failed(res):
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def equilibrium_batch(
+    y, Lambda, lam, params: ModelParams, adjustment: AdjustmentFns | None = None
+) -> list[EquilibriumResult | Exception]:
+    """Equilibria of many states under one parameter set, in one vectorised pass.
+
+    ``y``, ``Lambda`` and ``lam`` (the small memory level) broadcast against
+    each other and are flattened in C order.  Returns one entry per state:
+    the :class:`EquilibriumResult`, or the exception that state failed with
+    (a ``ValueError`` for a state outside its domain, an
+    :class:`EquilibriumError` for a failed solve, such as an adjustment that
+    overflows at an extreme memory level).  One failed state never stops the
+    others.  Region selection, boundary states and non-existence follow
+    :func:`equilibrium`.
+
+    Raises:
+        ValueError: if the parameters are invalid (see :func:`validate`).
+    """
+    m = _constants(params, adjustment)
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, Lambda, lam)))
+    return _solve(m, *(np.ravel(v) for v in arrays))
 
 
 def equilibrium(
@@ -508,72 +653,19 @@ def equilibrium(
     If no region is self-consistent the result carries exists=False and the
     objective tables of all four regions.
 
-    Boundary states y in {0, 1} are routed to :func:`boundary_equilibrium`.
+    Boundary states y in {0, 1} follow :func:`boundary_equilibrium`.  This is
+    :func:`equilibrium_batch` on a batch of one.
+
+    Raises:
+        ValueError: if the parameters are invalid.
+        EquilibriumError: if the solve fails at this state.
     """
-    if not 0.0 <= params.p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if state.y in (0.0, 1.0):
-        return boundary_equilibrium(state, params, adjustment=adjustment)
-    adj = adjustment or default_adjustment(params)
-    c = _context(state, params, adj)
-    cands = _candidates(c)
-
-    J_tables: dict[int, tuple[float, float, float, float]] = {}
-    priced: dict[int, tuple[float, float, float, float, float]] = {}
-    self_consistent: list[int] = []
-    for j in range(1, 5):
-        if not cands.available[j - 1]:
-            continue
-        prices = _region_prices(c, cands.n[j - 1])
-        priced[j] = prices
-        _, sig_j, _, r_j, mu_j = prices
-        table = tuple(
-            _J(c, cands.n[i], x_star(cands.n[i], c.k, c.p), r_j, mu_j, sig_j)
-            if cands.available[i]
-            else math.nan
-            for i in range(4)
-        )
-        J_tables[j] = table
-        finite = [v for v in table if math.isfinite(v)]
-        if finite and table[j - 1] >= max(finite):
-            self_consistent.append(j)
-
-    if not self_consistent:
-        nan = math.nan
-        return EquilibriumResult(
-            state=state,
-            p=params.p,
-            region="nonexistent",
-            exists=False,
-            n_C=nan,
-            n_M=nan,
-            x_star=nan,
-            r=nan,
-            mu=nan,
-            sigma=nan,
-            kappa=nan,
-            mu_y=nan,
-            sigma_y=nan,
-            D_over_S=c.D_S,
-            D_over_WC=c.D_WC,
-            S_over_WC=c.S_WC,
-            c_coeff_C=c.qC,
-            c_coeff_M=c.qM,
-            J_tables=J_tables,
-            candidates=cands.n,
-        )
-
-    j = self_consistent[0]
-    n_C = cands.n[j - 1]
-    x, sigma, kappa, r, mu = priced[j]
-    region: int = j
-    if j == 1 and params.p == 1.0:
-        region = 2  # constraint vacuous: Regions 1 and 2 coincide with the benchmark
-    return _result_from_prices(
-        c, params, region, n_C, x, sigma, kappa, r, mu, J_tables=J_tables, candidates=cands.n
+    return _raise_if_failed(
+        equilibrium_batch(state.y, state.Lambda, state.lambda_small, params, adjustment)[0]
     )
 
 
+@np.errstate(all="ignore")
 def benchmark_equilibrium(
     state: MarketState, params: ModelParams, adjustment: AdjustmentFns | None = None
 ) -> EquilibriumResult:
@@ -584,17 +676,11 @@ def benchmark_equilibrium(
     """
     if not 0.0 < state.y < 1.0:
         raise ValueError("benchmark equilibrium requires y strictly inside (0, 1)")
-    adj = adjustment or default_adjustment(params)
-    c = _context(state, replace(params, p=1.0), adj)
-    aC = (1.0 - c.y) / (c.delta_C * c.qC)
-    aM = c.y / (c.delta_M * c.qM)
-    n_B = aC / (aC + aM)
-    x = 0.0
-    sigma = _sigma(c, n_B)
-    kappa = _kappa(c, n_B)
-    r = _rate(c, n_B, x, kappa, sigma)
-    mu = _mu(c, r, sigma, kappa, x)
-    return _result_from_prices(c, params, 2, n_B, x, sigma, kappa, r, mu)
+    m = _constants(replace(params, p=1.0), adjustment)
+    c, fail = _context(m, state.y, state.Lambda, state.lambda_small)
+    n_B = _n2(c)
+    x, sigma, kappa, _, _ = _prices(c, n_B)
+    return _raise_if_failed(_finish(c, fail, 1, np.full(1, 2), n_B, x, sigma, kappa)[0])
 
 
 def boundary_equilibrium(
@@ -615,41 +701,38 @@ def boundary_equilibrium(
         raise ValueError("boundary equilibrium requires y exactly 0 or 1")
     if branch_hint is not None and branch_hint not in (1, 2, 3, 4):
         raise ValueError(f"branch_hint must be a region in 1..4, got {branch_hint!r}")
-    adj = adjustment or default_adjustment(params)
-    c = _context(state, params, adj)
+    m = _constants(params, adjustment)
+    arrays = (np.array([v]) for v in (state.y, state.Lambda, state.lambda_small))
+    return _raise_if_failed(_solve(m, *arrays, branch_hint=branch_hint)[0])
 
-    if state.y == 0.0:
-        n_C = 1.0
-        sigma = params.sigma_D - (c.h / c.eps) * c.r1 * c.theta_C
-        if params.p == 1.0:
-            zero_branch = False
-        else:
-            if branch_hint is None:
-                probe = equilibrium(
-                    MarketState(1e-4, state.Lambda, state.lambda_small), params, adj
-                )
-                if not probe.exists:
-                    raise EquilibriumError(
-                        "cannot infer the y=0 branch: no interior equilibrium at y=1e-4"
-                    )
-                branch = probe.region
-            else:
-                branch = branch_hint
-            zero_branch = branch == 4
-        kappa = 0.0 if zero_branch else c.sqrt2H * c.eph * c.delta_C * sigma
-    else:
-        n_C = 0.0
-        sigma = params.sigma_D - (c.h / c.eps) * c.r1 * c.theta_M
-        kappa = c.sqrt2H * c.eph * c.delta_M * sigma
 
-    x = 0.0
-    r = _rate(c, n_C, x, kappa, sigma)
-    mu = _mu(c, r, sigma, kappa, x)
-    return _result_from_prices(
-        c, params, "boundary", n_C, x, sigma, kappa, r, mu, sigma_y=0.0
+@np.errstate(all="ignore")
+def region_candidates(
+    state: MarketState, params: ModelParams, adjustment: AdjustmentFns | None = None
+) -> RegionCandidates:
+    """The four candidate holdings at one state (y strictly interior).
+
+    The Region-1 candidate solves the fixed-point equation, a cubic in n_C,
+    in closed form (see :func:`_fixed_point_roots`); existence of a root in
+    [0, 1] is guaranteed (g(0) >= 0 >= g(1), checked) but uniqueness is
+    not, so every root in [0, 1] is retained and the objective-best one is
+    reported first.
+    """
+    if not 0.0 < state.y < 1.0:
+        raise ValueError("region candidates require y strictly inside (0, 1)")
+    c, fail = _context(_constants(params, adjustment), state.y, state.Lambda, state.lambda_small)
+    n, _, roots = _candidates(c, fail, fail.ok())
+    if fail.err[0] is not None:
+        raise fail.err[0]
+    n = tuple(n[:, 0].tolist())
+    return RegionCandidates(
+        n=n,
+        available=tuple(math.isfinite(v) and 0.0 <= v <= 1.0 for v in n),
+        n1_roots=[v for v in roots[:, 0].tolist() if not math.isnan(v)],
     )
 
 
+@np.errstate(all="ignore")
 def benchmark_differences(
     state: MarketState,
     params: ModelParams,
@@ -663,15 +746,15 @@ def benchmark_differences(
     n_C - n_C^B; they are a cross-check of the two independent solves, not a
     third solver.  Region-2 states give exactly zero.
     """
-    adj = adjustment or default_adjustment(params)
-    c = _context(state, params, adj)
+    m = _constants(params, adjustment)
+    c, _ = _context(m, state.y, state.Lambda, state.lambda_small)
     dn = eq.n_C - bench.n_C
-    B_eq = _B(c, eq.n_C)
-    mix = (1.0 - c.y) / c.delta_C + c.y / c.delta_M
+    B_eq = eq.n_C * c.qC + (1.0 - eq.n_C) * c.qM
+    mix = (1.0 - c.y) / m.d.delta_C + c.y / m.d.delta_M
     d_sigma = bench.sigma * (c.qM - c.qC) * dn / B_eq
-    d_kappa = -c.sqrt2H * c.eph * c.qC * c.A * dn / (mix * B_eq * bench.n_M)
-    d_sigma_y = -c.y * c.qC * c.A * dn / (c.delta_M * mix * B_eq * bench.n_M)
-    return d_sigma, d_kappa, d_sigma_y
+    d_kappa = -m.vol * c.qC * c.A * dn / (mix * B_eq * bench.n_M)
+    d_sigma_y = -c.y * c.qC * c.A * dn / (m.d.delta_M * mix * B_eq * bench.n_M)
+    return float(d_sigma[0]), float(d_kappa[0]), float(d_sigma_y[0])
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +788,7 @@ class PartialPolicies:
     x_star: float
 
 
+@np.errstate(all="ignore")
 def partial_policies(
     prices: Prices,
     state: MarketState,
@@ -716,53 +800,48 @@ def partial_policies(
     The four candidates come from the price-based first-order conditions; a
     candidate with a vanishing denominator or outside [0, 1] is flagged
     unavailable and excluded from the maximization (its raw value is still
-    reported).  The chosen holding maximizes the objective, each candidate
-    evaluated with its own optimal diversion.
+    reported, NaN for a vanishing denominator).  The chosen holding
+    maximizes the objective, each candidate evaluated with its own optimal
+    diversion.
 
     Raises:
-        ValueError: if sigma is zero or a ratio is not positive.
+        ValueError: if sigma is zero, a ratio is not positive, or the
+            parameters are invalid.
     """
     if prices.sigma == 0.0:
         raise ValueError("partial policies need sigma != 0")
     if min(prices.D_over_S, prices.D_over_WC, prices.S_over_WC, prices.S_over_WM) <= 0.0:
         raise ValueError("price ratios must be positive")
-    adj = adjustment or default_adjustment(params)
-    c = _context(state, params, adj)
+    m = _constants(params, adjustment)
+    P = m.params
+    c, _ = _context(m, state.y, state.Lambda, state.lambda_small)
     # the objective uses the handed ratios, not the state-implied ones
-    c = replace(
-        c, D_S=prices.D_over_S, D_WC=prices.D_over_WC, S_WC=prices.S_over_WC, S_WM=prices.S_over_WM
-    )
+    c = replace(c, D_S=prices.D_over_S, D_WC=prices.D_over_WC, S_WC=prices.S_over_WC,
+                S_WM=prices.S_over_WM)
 
-    excess = prices.mu - prices.r + prices.sigma * c.Lam
-    den0 = 2.0 * c.H * c.e2h * c.delta_C * c.S_WC * prices.sigma**2
-    den1 = den0 + (2.0 * (1.0 - c.p) + c.k * (1.0 - c.p) ** 2) * c.D_S
-    den2 = den0 - c.D_S / c.k
-    n1 = (excess + (2.0 - c.p) * c.D_S) / den1 if den1 != 0.0 else math.nan
-    n2 = (excess + (1.0 - 1.0 / c.k) * c.D_S) / den2 if den2 != 0.0 else math.nan
-    n3 = 1.0 / (1.0 + (1.0 - c.p) * c.k)
-    cands = (n1, n2, n3, 1.0)
-    avail = tuple(math.isfinite(v) and 0.0 <= v <= 1.0 for v in cands)
-    J_vals = tuple(
-        _J(c, cands[i], x_star(cands[i], c.k, c.p), prices.r, prices.mu, prices.sigma)
-        if avail[i]
-        else math.nan
-        for i in range(4)
+    excess = prices.mu - prices.r + prices.sigma * state.Lambda
+    den0 = 2.0 * P.H * m.e2h * m.d.delta_C * prices.S_over_WC * prices.sigma**2
+    den = np.array([den0 + (2.0 * (1.0 - P.p) + P.k * (1.0 - P.p) ** 2) * prices.D_over_S,
+                    den0 - prices.D_over_S / P.k])
+    num = np.array([excess + (2.0 - P.p) * prices.D_over_S,
+                    excess + (1.0 - 1.0 / P.k) * prices.D_over_S])
+    n = np.concatenate([np.where(den != 0.0, num / den, np.nan), [m.n3, 1.0]])[:, None]
+    avail = np.isfinite(n) & (n >= 0.0) & (n <= 1.0)  # the kink and full ownership always are
+    x = x_star(n, P.k, P.p)
+    J = np.where(avail, _J(c, n, x, prices.r, prices.mu, prices.sigma), np.nan)
+    best = int(np.argmax(np.where(avail, J, -np.inf)[:, 0]))
+    n_M = (excess + (1.0 - x[best, 0]) * prices.D_over_S) / (
+        2.0 * P.H * m.e2h * m.d.delta_M * prices.S_over_WM * prices.sigma**2
     )
-    if not any(avail):
-        raise EquilibriumError("no candidate holding is available at the given prices")
-    best = max((i for i in range(4) if avail[i]), key=lambda i: J_vals[i])
-    n_C = cands[best]
-    x = x_star(n_C, c.k, c.p)
-    n_M = (excess + (1.0 - x) * c.D_S) / (2.0 * c.H * c.e2h * c.delta_M * c.S_WM * prices.sigma**2)
     return PartialPolicies(
-        c_coeff_C=c.qC,
-        c_coeff_M=c.qM,
-        n_C_candidates=cands,
-        available=avail,
-        J_values=J_vals,
-        n_C=n_C,
-        n_M=n_M,
-        x_star=x,
+        c_coeff_C=float(c.qC[0]),
+        c_coeff_M=float(c.qM[0]),
+        n_C_candidates=tuple(n[:, 0].tolist()),
+        available=tuple(avail[:, 0].tolist()),
+        J_values=tuple(J[:, 0].tolist()),
+        n_C=float(n[best, 0]),
+        n_M=float(n_M),
+        x_star=float(x[best, 0]),
     )
 
 
@@ -792,17 +871,27 @@ def sweep(
     """Cross-product sweep over (y, p, Lambda) with per-row failure capture.
 
     Rows are emitted in deterministic order: y outermost, then p, then
-    Lambda.  The small memory level is held fixed (default 0).
+    Lambda.  The small memory level is held fixed (default 0).  Each p is
+    one :func:`equilibrium_batch`; a row that fails, or every row of a p
+    whose parameters are invalid, records its error and the sweep goes on.
     """
-    adj = adjustment or default_adjustment(params)
+    ys = [float(v) for v in y_values]
+    ps = [float(v) for v in p_values]
+    Ls = [float(v) for v in Lambda_values]
+    y_grid, L_grid = np.repeat(ys, len(Ls)), np.tile(Ls, len(ys))
+    by_p = []
+    for p in ps:
+        try:
+            by_p.append(equilibrium_batch(y_grid, L_grid, lam, replace(params, p=p), adjustment))
+        except ValueError as exc:
+            by_p.append([exc] * len(y_grid))
     rows: list[SweepRow] = []
-    for y in y_values:
-        for p in p_values:
-            for L in Lambda_values:
-                pp = replace(params, p=float(p))
-                try:
-                    res = equilibrium(MarketState(float(y), float(L), lam), pp, adj)
-                    rows.append(SweepRow(float(y), float(p), float(L), res))
-                except (EquilibriumError, ValueError) as exc:
-                    rows.append(SweepRow(float(y), float(p), float(L), None, error=str(exc)))
+    for i, y in enumerate(ys):
+        for res_p, p in zip(by_p, ps):
+            for l, L in enumerate(Ls):
+                res = res_p[i * len(Ls) + l]
+                if isinstance(res, Exception):
+                    rows.append(SweepRow(y, p, L, None, error=str(res)))
+                else:
+                    rows.append(SweepRow(y, p, L, res))
     return rows

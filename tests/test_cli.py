@@ -1,13 +1,17 @@
 import csv
+import importlib
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fbmecon import BASE_PARAMS
-from fbmecon.cli import main
+from fbmecon.cli import entry, main
 
 PARAM_NAMES = ("mu_D", "sigma_D", "H", "epsilon", "gamma_C", "gamma_M", "alpha_C",
                "alpha_M", "rho", "k", "p", "l_C", "l_M", "beta1", "beta2")
@@ -177,6 +181,14 @@ def test_equilibrium_nonexistence_reports_tables(tmp_path, capsys):
     assert row["r"] == ""
 
 
+@pytest.mark.parametrize("level", ["1e4", "-1e4"])
+def test_equilibrium_extreme_memory_is_runtime_failure(cfg, capsys, level):
+    assert main(["--config", str(cfg), "equilibrium", "--y", "0.5", f"--Lambda={level}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("error: ") and "Lambda=" in err[-1]
+    assert not any("Traceback" in line for line in err)
+
+
 def test_equilibrium_validates_flags(cfg, capsys):
     assert main(["--config", str(cfg), "equilibrium", "--y", "1.5"]) == 1
     assert main(["--config", str(cfg), "equilibrium", "--y", "0.5", "--p", "2"]) == 1
@@ -284,9 +296,17 @@ def test_usage_error_exits_one(capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fbmecon.cli"] if False else ["fbmecon", "--help"],
-        capture_output=True, text=True,
-    )
+    # the script pyproject declares resolves to cli.entry, which python -m
+    # fbmecon runs; the help text lists the subcommands
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^fbmecon\s*=\s*"([\w.]+):(\w+)"', pyproject, re.M)
+    assert target is not None
+    module, func = target.groups()
+    assert getattr(importlib.import_module(module), func) is entry
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fbmecon", "--help"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "convergence" in proc.stdout

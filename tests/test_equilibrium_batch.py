@@ -1,0 +1,168 @@
+"""The batched equilibrium path against the scan oracle it replaced.
+
+``equilibrium_oracle`` is the former scalar solver: a sign scan of the
+Region-1 fixed-point function at step 1e-3 plus bisection to width 1e-12.
+The batch solves the same fixed point as a cubic in closed form, so the two
+agree up to the oracle's bisection width, amplified by each field's
+sensitivity to the holding.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import equilibrium_oracle as oracle
+from fbmecon import (
+    BASE_PARAMS,
+    EquilibriumError,
+    EquilibriumResult,
+    MarketState,
+    equilibrium,
+    equilibrium_batch,
+    region_candidates,
+    sweep,
+)
+from fbmecon.equilibrium import _fixed_point_roots
+
+FIELDS = ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa", "mu_y", "sigma_y",
+          "D_over_S", "D_over_WC", "S_over_WC", "c_coeff_C", "c_coeff_M",
+          "mu_H", "sigma_H", "mu_G")
+Y_GRID = np.round(np.arange(101) / 100.0, 2)
+L_GRID = (-5.0, 0.0, 5.0)
+
+
+def close(a: float, b: float, rtol: float) -> bool:
+    if math.isnan(b) or math.isinf(b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return abs(a - b) <= rtol * (1.0 + abs(b))
+
+
+def assert_same(got: EquilibriumResult, want: EquilibriumResult, rtol: float) -> None:
+    where = f"y={want.state.y}, Lambda={want.state.Lambda}, p={want.p}"
+    assert got.region == want.region, where
+    assert got.exists == want.exists, where
+    for f in FIELDS:
+        assert close(getattr(got, f), getattr(want, f), rtol), (f, where)
+    # the tables price every candidate, the Region-1 root's bisection error
+    # included, and reach 5e-12 at y = 0.01, where kappa ~ 1/y amplifies it
+    assert (got.J_tables is None) == (want.J_tables is None), where
+    if want.J_tables is not None:
+        assert got.J_tables.keys() == want.J_tables.keys(), where
+        for j, row in want.J_tables.items():
+            assert all(close(a, b, 1e-10) for a, b in zip(got.J_tables[j], row)), (j, where)
+        assert all(close(a, b, rtol) for a, b in zip(got.candidates, want.candidates)), where
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.4])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.9, 1.0])
+def test_batch_matches_oracle_and_scalar(p, lam):
+    params = replace(BASE_PARAMS, p=p)
+    ys, Ls = np.repeat(Y_GRID, len(L_GRID)), np.tile(L_GRID, len(Y_GRID))
+    batch = equilibrium_batch(ys, Ls, lam, params)
+    assert len(batch) == len(ys)
+    for y, L, got in zip(ys.tolist(), Ls.tolist(), batch):
+        state = MarketState(y, L, lam)
+        assert_same(got, oracle.equilibrium(state, params), 1e-12)
+        assert_same(got, equilibrium(state, params), 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    y=st.floats(0.01, 0.99),
+    p=st.floats(0.0, 1.0),
+    L=st.floats(-5.0, 5.0),
+    lam=st.floats(-1.0, 1.0),
+)
+def test_batch_matches_oracle_property(y, p, L, lam):
+    # the oracle's holding is exact to its bisection width; kappa ~ 1/y
+    # carries that error to about 1e-11 at y = 0.01, hence the field tolerance
+    params = replace(BASE_PARAMS, p=p)
+    state = MarketState(y, L, lam)
+    got, want = equilibrium(state, params), oracle.equilibrium(state, params)
+    assert got.region == want.region and got.exists == want.exists
+    if want.exists:
+        assert abs(got.n_C - want.n_C) <= oracle.BISECT_TOL
+    assert_same(got, want, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The Region-1 root helper
+
+
+def g_of(n2, n3, a, b0, b1):
+    return lambda n: -n + n2 + a * (1.0 - n / n3) * (b0 + b1 * n) ** 2
+
+
+def test_roots_close_pair_the_scan_misses():
+    # g has three roots in [0, 1]; the first two are 4.4e-4 apart inside one
+    # scan cell (0.717, 0.718), so their sign changes cancel on the scan grid
+    coef = dict(n2=0.6890417, n3=0.95, a=20.0, b0=1.0, b1=-1.5)
+    roots = _fixed_point_roots(*(np.array([v]) for v in coef.values()))[:, 0]
+    g = g_of(**coef)
+    assert np.all(np.isfinite(roots)) and np.all(np.diff(roots) > 0.0)
+    assert 0.717 < roots[0] < roots[1] < 0.718 and roots[1] - roots[0] < 1e-3
+    assert roots[2] < 1.0
+    assert all(abs(g(float(r))) <= 1e-14 for r in roots)
+    scanned = oracle.scan_roots(g)
+    assert len(scanned) == 1 and abs(scanned[0] - roots[2]) <= oracle.BISECT_TOL
+
+
+def test_roots_linear_when_consumption_ratios_coincide():
+    # qC == qM makes b1 = 0: the cubic and quadratic terms vanish, g is linear
+    n2, n3, a, b0 = 0.5, 1.0 / 2.2, 3.0, 0.7
+    roots = _fixed_point_roots(np.array([n2]), n3, np.array([a]), np.array([b0]),
+                               np.array([0.0]))[:, 0]
+    linear = (n2 + a * b0 * b0) / (1.0 + a * b0 * b0 / n3)
+    assert math.isclose(roots[0], linear, rel_tol=1e-15)
+    assert np.all(np.isnan(roots[1:]))
+    # the same degenerate cubic at a state with identical preferences
+    symmetric = replace(BASE_PARAMS, gamma_C=3.0, gamma_M=3.0, alpha_C=0.5, alpha_M=0.5)
+    c = region_candidates(MarketState(0.5), symmetric)
+    want = oracle.equilibrium(MarketState(0.5), symmetric).candidates[0]
+    assert len(c.n1_roots) == 1 and abs(c.n[0] - want) <= oracle.BISECT_TOL
+
+
+def test_roots_full_protection_is_n2_exactly():
+    n2 = np.array([0.1, 0.37, 0.6939768385893154, 0.99])
+    roots = _fixed_point_roots(n2, 1.0, np.zeros(4), np.full(4, 0.3), np.full(4, 0.2))
+    assert np.array_equal(roots[0], n2)
+    assert np.all(np.isnan(roots[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Failures stay with their state; invalid parameters are rejected
+
+
+def test_batch_isolates_failing_states():
+    res = equilibrium_batch(0.5, [0.0, 1e4, -1e4, 5.0, math.nan], 0.0, BASE_PARAMS)
+    assert isinstance(res[0], EquilibriumResult) and isinstance(res[3], EquilibriumResult)
+    assert isinstance(res[1], EquilibriumError) and "Lambda=10000" in str(res[1])
+    assert isinstance(res[2], EquilibriumError) and "Lambda=-10000" in str(res[2])
+    assert isinstance(res[4], ValueError)
+    with pytest.raises(EquilibriumError):
+        equilibrium(MarketState(0.5, 1e4), BASE_PARAMS)
+    with pytest.raises(EquilibriumError):
+        equilibrium(MarketState(0.5, -1e4), BASE_PARAMS)
+
+
+def test_sweep_keeps_going_past_extreme_memory():
+    Ls = [-1e4, -5.0, 0.0, 5.0, 1e4]
+    rows = sweep(BASE_PARAMS, [0.0, 0.5, 1.0], [1.0, 0.6], Ls)
+    assert len(rows) == 3 * 2 * len(Ls)
+    for row in rows:
+        if abs(row.Lambda) == 1e4:
+            assert row.result is None and row.error
+        else:
+            assert row.error is None and row.result.exists
+
+
+@pytest.mark.parametrize("change", [dict(gamma_C=1.0), dict(l_C=0.4, l_M=0.6)])
+def test_invalid_parameters_rejected(change):
+    bad = replace(BASE_PARAMS, **change)
+    with pytest.raises(ValueError, match="invalid parameters"):
+        equilibrium(MarketState(0.5), bad)
+    with pytest.raises(ValueError, match="invalid parameters"):
+        equilibrium_batch([0.2, 0.5], 0.0, 0.0, bad)
