@@ -18,11 +18,9 @@ from .equilibrium import (
     benchmark_differences,
     benchmark_equilibrium,
     boundary_equilibrium,
-    derived_quantities,
     equilibrium,
     equilibrium_batch,
     partial_policies,
-    protection_binds,
     region_candidates,
     sweep,
     x_star,
@@ -91,7 +89,6 @@ __all__ = [
     "convergence_study",
     "default_adjustment",
     "derive_constants",
-    "derived_quantities",
     "equilibrium",
     "equilibrium_batch",
     "estimate_memory",
@@ -103,7 +100,6 @@ __all__ = [
     "output_steps",
     "params_from_config",
     "partial_policies",
-    "protection_binds",
     "region_candidates",
     "simulate_brownian",
     "simulate_bundle",

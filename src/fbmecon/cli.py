@@ -16,7 +16,6 @@ one line per stage.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -202,10 +201,6 @@ def _cmd_equilibrium(args) -> int:
     if args.y is None:
         raise CliError("equilibrium needs --y")
     params = rc.params if args.p is None else replace(rc.params, p=args.p)
-    if not 0.0 <= params.p <= 1.0:
-        raise CliError("p must lie in [0, 1]")
-    if not 0.0 <= args.y <= 1.0:
-        raise CliError("y must lie in [0, 1]")
     state = MarketState(args.y, args.Lambda, args.lam)
     _log(f"equilibrium: y={args.y:g} p={params.p:g} Lambda={args.Lambda:g}")
     res = equilibrium(state, params)
@@ -240,6 +235,13 @@ _FIGURE_SLUGS = {
 }
 
 
+def _figure_cell(row, field: str) -> str:
+    """The field of an existing equilibrium, or an empty cell."""
+    if row is not None and row.result is not None and row.result.exists:
+        return csvio.fmt(getattr(row.result, field))
+    return ""
+
+
 def _write_figures(fig_dir: Path, rows, rc: RunConfig) -> None:
     """One CSV per figure id, wide format: y plus one column per line.
 
@@ -266,19 +268,10 @@ def _write_figures(fig_dir: Path, rows, rc: RunConfig) -> None:
                 key = (pv, sv) if panel == "p" else (sv, pv)
                 cols.append((f"{panel}={pv:g};{series}={sv:g}", key))
         name = f"fig{fig:02d}_{_FIGURE_SLUGS[field]}_by_{'memory' if series == 'Lambda' else 'protection'}.csv"
-        path = fig_dir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["y"] + [c for c, _ in cols])
-            for y in ys:
-                rec = [csvio.fmt(y)]
-                for _, key in cols:
-                    row = cells.get((key, y))
-                    if row is not None and row.result is not None and row.result.exists:
-                        rec.append(csvio.fmt(getattr(row.result, field)))
-                    else:
-                        rec.append("")
-                w.writerow(rec)
+        csvio._write_table(fig_dir / name, ["y"] + [c for c, _ in cols], (
+            [csvio.fmt(y)] + [_figure_cell(cells.get((key, y)), field) for _, key in cols]
+            for y in ys
+        ))
         manifest.append(
             {
                 "figure": fig,
@@ -400,3 +393,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -41,40 +41,44 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _open_writer(path):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+_BLOCK = 4096  # node rows converted to Python floats at a time
+
+
+def _write_table(path, header: list[str], rows) -> None:
+    """Write the header and then each row, an iterable of ready cells.
+
+    Cells hold no comma, quote or newline, so they are written unquoted.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _node_rows(grid: TimeGrid, increments: np.ndarray, *levels: np.ndarray):
+    """Rows t, increment, levels... for each node, the increment empty at t_0.
+
+    Columns are converted a block of rows at a time, never whole.
+    """
+    t = grid.nodes()
+    for lo in range(0, grid.N + 1, _BLOCK):
+        hi = min(lo + _BLOCK, grid.N + 1)
+        inc = [fmt(x) for x in increments[max(lo - 1, 0):hi - 1].tolist()]
+        if lo == 0:
+            inc.insert(0, "")
+        cols = [[fmt(x) for x in col[lo:hi].tolist()] for col in (t, *levels)]
+        yield from zip(cols[0], inc, *cols[1:])
 
 
 def write_path_csv(path, bundle: PathBundle) -> None:
     """One row per node; the increment column is empty at t_0."""
-    t = bundle.grid.nodes()
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(PATH_HEADER)
-        for n in range(bundle.grid.N + 1):
-            dw = "" if n == 0 else fmt(bundle.dw[n - 1])
-            w.writerow(
-                [
-                    fmt(t[n]),
-                    dw,
-                    fmt(bundle.w[n]),
-                    fmt(bundle.Lambda[n]),
-                    fmt(bundle.lambda_small[n]),
-                    fmt(bundle.Z[n]),
-                    fmt(bundle.D_hat[n]),
-                ]
-            )
+    _write_table(path, PATH_HEADER, _node_rows(
+        bundle.grid, bundle.dw, bundle.w, bundle.Lambda, bundle.lambda_small, bundle.Z,
+        bundle.D_hat))
 
 
 def write_memory_csv(path, est: MemoryEstimate) -> None:
-    t = est.grid.nodes()
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(MEMORY_HEADER)
-        for n in range(est.grid.N + 1):
-            dw = "" if n == 0 else fmt(est.dw_hat[n - 1])
-            w.writerow([fmt(t[n]), dw, fmt(est.Lambda_hat[n]), fmt(est.lambda_hat[n])])
+    _write_table(path, MEMORY_HEADER, _node_rows(
+        est.grid, est.dw_hat, est.Lambda_hat, est.lambda_hat))
 
 
 def _sweep_record(row: SweepRow) -> list[str]:
@@ -92,19 +96,14 @@ def _sweep_record(row: SweepRow) -> list[str]:
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(SWEEP_HEADER)
-        for row in rows:
-            w.writerow(_sweep_record(row))
+    _write_table(path, SWEEP_HEADER, map(_sweep_record, rows))
 
 
 def write_convergence_csv(path, report) -> None:
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(CONVERGENCE_HEADER)
-        for dt, eL, el in zip(report.dt_values, report.median_err_Lambda, report.median_err_lambda):
-            w.writerow([fmt(dt), fmt(eL), fmt(el)])
+    _write_table(path, CONVERGENCE_HEADER, (
+        [fmt(dt), fmt(eL), fmt(el)]
+        for dt, eL, el in zip(report.dt_values, report.median_err_Lambda, report.median_err_lambda)
+    ))
 
 
 def read_t_z_csv(path, spacing_rtol: float = 1e-9) -> tuple[TimeGrid, np.ndarray]:

@@ -60,14 +60,12 @@ __all__ = [
     "SweepRow",
     "EquilibriumError",
     "x_star",
-    "protection_binds",
     "region_candidates",
     "equilibrium",
     "equilibrium_batch",
     "benchmark_equilibrium",
     "boundary_equilibrium",
     "benchmark_differences",
-    "derived_quantities",
     "partial_policies",
     "sweep",
 ]
@@ -100,11 +98,6 @@ class MarketState:
 def x_star(n_C, k: float, p: float):
     """Optimal diverted fraction min{(1 - n_C)/k, (1 - p) n_C}, elementwise."""
     return np.minimum((1.0 - n_C) / k, (1.0 - p) * n_C)
-
-
-def protection_binds(n_C: float, k: float, p: float) -> bool:
-    """True when the protection cap (1 - p) n_C is the binding branch (Region 1)."""
-    return (1.0 - p) * n_C <= (1.0 - n_C) / k
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +317,6 @@ def _prices(c: _Ctx, n_C):
     return x, sigma, kappa, r, _mu(c, r, sigma, kappa, x)
 
 
-def _derived(vol: float, Lam, mu, sigma, x, D_S):
-    """(mu_H, sigma_H, mu_G): memory-adjusted return, shock volatility, gross return."""
-    mu_H = mu + sigma * Lam
-    return mu_H, vol * sigma, mu_H + (1.0 - x) * D_S
-
-
 def _n2(c: _Ctx):
     """Closed-form Region-2 holding (the full-protection benchmark holding)."""
     aC = (1.0 - c.y) / (c.m.d.delta_C * c.qC)
@@ -498,20 +485,6 @@ class EquilibriumResult:
     candidates: tuple[float, float, float, float] | None = None
 
 
-def derived_quantities(eq: EquilibriumResult, params: ModelParams) -> tuple[float, float, float]:
-    """Fill and return the modified return/volatility and the gross return.
-
-    mu_H = mu + sigma Lambda absorbs the memory drift, sigma_H =
-    sqrt(2H) eps^h sigma is the volatility actually carried by the Brownian
-    shock, and mu_G = mu_H + (1 - x*) D/S adds back the undiverted dividend
-    yield.
-    """
-    eq.mu_H, eq.sigma_H, eq.mu_G = _derived(
-        _constants(params).vol, eq.state.Lambda, eq.mu, eq.sigma, eq.x_star, eq.D_over_S
-    )
-    return eq.mu_H, eq.sigma_H, eq.mu_G
-
-
 _PRICE_FIELDS = ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa", "mu_y", "sigma_y",
                  "mu_H", "sigma_H", "mu_G")
 _STATE_FIELDS = ("D_over_S", "D_over_WC", "S_over_WC", "c_coeff_C", "c_coeff_M")
@@ -530,9 +503,12 @@ def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa,
     mu = _mu(c, r, sigma, kappa, x)
     sigma_y = np.where(code == _BOUNDARY, 0.0, _sigma_y(c, kappa))
     mu_y = _mu_y(c, x, kappa, r, sigma_y)
-    mu_H, sigma_H, mu_G = _derived(c.m.vol, c.Lam, mu, sigma, x, c.D_S)
+    # mu_H = mu + sigma Lambda absorbs the memory drift, sigma_H = sqrt(2H) eps^h sigma
+    # is the volatility the Brownian shock carries, and mu_G = mu_H + (1 - x*) D/S
+    # adds back the undiverted dividend yield
+    mu_H = mu + sigma * c.Lam
     priced = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y,
-                       mu_H, sigma_H, mu_G, c.D_S])
+                       mu_H, c.m.vol * sigma, mu_H + (1.0 - x) * c.D_S, c.D_S])
     finite = np.isfinite(priced)
     fail.flag(exists & ~finite.all(axis=0), lambda i: (
         f"non-finite {(*_PRICE_FIELDS, 'D_over_S')[int(np.argmin(finite[:, i]))]} at {fail.at(i)}"))

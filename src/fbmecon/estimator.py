@@ -12,7 +12,9 @@ by kernel sums:
 with Lambda_hat[0] = lambda_hat[0] = 0.  The recursion is inherently
 sequential (each recovered increment consumes the memory level implied by
 the previous ones) and costs O(N^2) by direct summation; no transform
-acceleration, correctness first.
+acceleration, correctness first.  Only Lambda_hat feeds back, so only it is
+summed inside the recursion; lambda_hat is :func:`~fbmecon.paths.kernel_sums`
+over the recovered increments once they are all known.
 
 The sup-norm error of the scheme against the exact memory decays pathwise
 like dt^(1/6 - e) for every e > 0, with a path-dependent constant; the decay
@@ -27,7 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .paths import TimeGrid, kernel_sums, simulate_brownian, simulate_output
+from .paths import (
+    TimeGrid,
+    _kernel,
+    _reversed_weights,
+    _step_coefficients,
+    kernel_sums,
+    memory_exact,
+    simulate_brownian,
+    simulate_output,
+)
 
 __all__ = [
     "MemoryEstimate",
@@ -74,28 +85,18 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
 
     n_steps = grid.N
     dt = grid.dt
-    h = params.H - 0.5
-    root = np.sqrt(2.0 * params.H)
-    vol = root * params.epsilon**h * params.sigma_D
-    drift0 = (params.mu_D - params.H * params.epsilon ** (2.0 * h) * params.sigma_D**2) * dt
-    sdt = params.sigma_D * dt
-
-    # lag-m kernel weights, m = 1..N; identically zero at H = 1/2 (h = 0)
-    lag_t = dt * np.arange(1, n_steps + 1) + params.epsilon
-    k_big = root * h * lag_t ** (h - 1.0)
-    k_small = root * h * (h - 1.0) * lag_t ** (h - 2.0)
-    rev_big = k_big[::-1].copy()
-    rev_small = k_small[::-1].copy()
+    a0, sdt, vol = _step_coefficients(params, dt)
+    # Lambda_hat feeds back into the recursion, so its kernel sum runs step
+    # by step; the weights and slices are those of kernel_sums
+    rev = _reversed_weights(n_steps, dt, params.epsilon, *_kernel(params, 1))
 
     dZ = np.diff(Z)
     dw_hat = np.empty(n_steps)
     lam_big = np.zeros(n_steps + 1)
-    lam_small = np.zeros(n_steps + 1)
     for n in range(n_steps):
-        dw_hat[n] = (dZ[n] - drift0 - sdt * lam_big[n]) / vol
-        head = dw_hat[: n + 1]
-        lam_big[n + 1] = np.dot(head, rev_big[n_steps - 1 - n:])
-        lam_small[n + 1] = np.dot(head, rev_small[n_steps - 1 - n:])
+        dw_hat[n] = (dZ[n] - a0 - sdt * lam_big[n]) / vol
+        lam_big[n + 1] = np.dot(dw_hat[: n + 1], rev[n_steps - 1 - n:])
+    lam_small = kernel_sums(dw_hat, dt, params.epsilon, *_kernel(params, 2))
     return MemoryEstimate(grid=grid, dw_hat=dw_hat, Lambda_hat=lam_big, lambda_hat=lam_small)
 
 
@@ -140,10 +141,7 @@ def euler_reference(
     dw = np.asarray(dw, dtype=float)
     if dw.shape != (grid.N,):
         raise ValueError(f"expected {grid.N} increments, got shape {dw.shape}")
-    h = params.H - 0.5
-    root = np.sqrt(2.0 * params.H)
-    lam_big = kernel_sums(dw, grid.dt, params.epsilon, root * h, h - 1.0)
-    lam_small = kernel_sums(dw, grid.dt, params.epsilon, root * h * (h - 1.0), h - 2.0)
+    lam_big, lam_small = memory_exact(grid, dw, params)
     Q, _ = simulate_output(grid, dw, lam_big, params, D0=D0)
     if Lambda_exact is None:
         Z_tilde = Q

@@ -80,6 +80,29 @@ def simulate_brownian(grid: TimeGrid, seed: int) -> np.ndarray:
     return rng.standard_normal(grid.N) * np.sqrt(grid.dt)
 
 
+def _kernel(params: ModelParams, order: int) -> tuple[float, float]:
+    """(prefactor, exponent) of the order-k kernel, k = 0, 1, 2.
+
+    Order 0 is the kernel sqrt(2H) (t - s + eps)^h of w^H itself, and orders
+    1 and 2 are its first two time derivatives, the kernels of Lambda and
+    lambda: prefactor sqrt(2H) h (h-1) ... (h-k+1), exponent h - k.
+    """
+    h = params.H - 0.5
+    prefactor = np.sqrt(2.0 * params.H)
+    for i in range(order):
+        prefactor = prefactor * (h - i)
+    return prefactor, h - order
+
+
+def _reversed_weights(m: int, dt: float, epsilon: float, prefactor: float, exponent: float):
+    """Kernel weights at lags 1..m, reversed and contiguous for dot products.
+
+    rev[m - 1 - i] = prefactor * ((i + 1) dt + epsilon)**exponent.
+    """
+    lags = prefactor * (dt * np.arange(1, m + 1) + epsilon) ** exponent
+    return lags[::-1].copy()
+
+
 def kernel_sums(
     dw: np.ndarray,
     dt: float,
@@ -97,9 +120,12 @@ def kernel_sums(
     for n = 0 .. M // stride (so out[0] = 0).  stride > 1 evaluates a
     refinement-R quadrature on the coarse grid of step stride * dt.
 
-    This single routine backs every kernel integral in the package, so
-    quantities defined as "the same sum" really are computed by the same
-    floating-point operations.
+    Every kernel sum over a known increment path goes through this routine:
+    w^H, Lambda and lambda in simulation, the Euler reference, and lambda_hat
+    in the recovery.  The one other kernel sum is the recovery's Lambda_hat,
+    which feeds back into its own recursion; it uses the same weights and
+    slices, so "the same sum" is computed by the same floating-point
+    operations everywhere.
     """
     m = len(dw)
     if m % stride:
@@ -108,9 +134,7 @@ def kernel_sums(
     out = np.zeros(n_out + 1)
     if m == 0 or prefactor == 0.0:
         return out
-    # weight at lag j subintervals: prefactor * (j*dt + eps)^exponent, j = 1..M
-    lags = prefactor * (dt * np.arange(1, m + 1) + epsilon) ** exponent
-    rev = lags[::-1].copy()  # rev[M-1-i] = weight at lag i+1; contiguous for dot
+    rev = _reversed_weights(m, dt, epsilon, prefactor, exponent)
     for n in range(1, n_out + 1):
         j = n * stride
         out[n] = np.dot(dw[:j], rev[m - j:])
@@ -133,13 +157,9 @@ def memory_exact(
             f"expected {grid.N * refine} fine increments (N = {grid.N}, refine = {refine}), "
             f"got {len(dw_fine)}"
         )
-    h = params.H - 0.5
-    root = np.sqrt(2.0 * params.H)
     dt_f = grid.dt / refine
-    lam_big = kernel_sums(dw_fine, dt_f, params.epsilon, root * h, h - 1.0, stride=refine)
-    lam_small = kernel_sums(
-        dw_fine, dt_f, params.epsilon, root * h * (h - 1.0), h - 2.0, stride=refine
-    )
+    lam_big = kernel_sums(dw_fine, dt_f, params.epsilon, *_kernel(params, 1), stride=refine)
+    lam_small = kernel_sums(dw_fine, dt_f, params.epsilon, *_kernel(params, 2), stride=refine)
     return lam_big, lam_small
 
 
@@ -154,9 +174,20 @@ def approx_fbm(
     refine = int(refine)
     if len(dw_fine) != grid.N * refine:
         raise ValueError("fine increments do not match grid.N * refine")
-    h = params.H - 0.5
-    root = np.sqrt(2.0 * params.H)
-    return kernel_sums(dw_fine, grid.dt / refine, params.epsilon, root, h, stride=refine)
+    dt_f = grid.dt / refine
+    return kernel_sums(dw_fine, dt_f, params.epsilon, *_kernel(params, 0), stride=refine)
+
+
+def _step_coefficients(params: ModelParams, dt: float) -> tuple[float, float, float]:
+    """(a0, sigma_D dt, vol) of the affine output step a0 + sigma_D dt Lambda + vol dw.
+
+    a0 = (mu_D - H eps^(2h) sigma_D^2) dt, and vol = sqrt(2H) eps^h sigma_D
+    is the w^H kernel at lag zero times sigma_D.
+    """
+    prefactor, h = _kernel(params, 0)
+    a0 = (params.mu_D - params.H * params.epsilon ** (2.0 * h) * params.sigma_D**2) * dt
+    vol = prefactor * params.epsilon**h * params.sigma_D
+    return a0, params.sigma_D * dt, vol
 
 
 def output_steps(
@@ -177,11 +208,8 @@ def output_steps(
         raise ValueError("Lambda must cover every left node of the grid")
     if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(Lambda[: grid.N]))):
         raise ValueError("non-finite inputs to the output recursion")
-    h = params.H - 0.5
-    dt = grid.dt
-    a0 = (params.mu_D - params.H * params.epsilon ** (2.0 * h) * params.sigma_D**2) * dt
-    vol = np.sqrt(2.0 * params.H) * params.epsilon**h * params.sigma_D
-    return a0 + (params.sigma_D * dt) * np.asarray(Lambda)[: grid.N] + vol * np.asarray(dw)
+    a0, sdt, vol = _step_coefficients(params, grid.dt)
+    return a0 + sdt * np.asarray(Lambda)[: grid.N] + vol * np.asarray(dw)
 
 
 def simulate_output(

@@ -36,6 +36,15 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def run_module(module, *argv):
+    """Run ``python -m module argv...`` on the sources of this checkout."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -304,9 +313,16 @@ def test_console_entry_point():
     assert target is not None
     module, func = target.groups()
     assert getattr(importlib.import_module(module), func) is entry
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "fbmecon", "--help"],
-                          capture_output=True, text=True, env=env)
+    proc = run_module("fbmecon", "--help")
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "convergence" in proc.stdout
+
+
+def test_cli_module_runs_as_script():
+    # python -m fbmecon.cli runs the same entry point as python -m fbmecon
+    proc = run_module("fbmecon.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: fbmecon")
+    proc = run_module("fbmecon.cli")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")

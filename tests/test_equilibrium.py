@@ -13,10 +13,8 @@ from fbmecon import (
     benchmark_equilibrium,
     boundary_equilibrium,
     derive_constants,
-    derived_quantities,
     equilibrium,
     partial_policies,
-    protection_binds,
     region_candidates,
     sweep,
     x_star,
@@ -47,10 +45,11 @@ def test_x_star_kink_value():
 
 
 def test_x_star_branches():
-    assert x_star(0.2, k=3.0, p=0.6) == (1 - 0.6) * 0.2  # cap binds
-    assert x_star(0.9, k=3.0, p=0.6) == (1 - 0.9) / 3.0  # cost branch
-    assert protection_binds(0.2, 3.0, 0.6)
-    assert not protection_binds(0.9, 3.0, 0.6)
+    # the protection cap binds (Region 1) below the kink, the cost branch above it
+    assert (1 - 0.6) * 0.2 < (1 - 0.2) / 3.0
+    assert x_star(0.2, k=3.0, p=0.6) == (1 - 0.6) * 0.2
+    assert (1 - 0.9) / 3.0 < (1 - 0.6) * 0.9
+    assert x_star(0.9, k=3.0, p=0.6) == (1 - 0.9) / 3.0
 
 
 @given(n=st.floats(0.0, 1.0), k=st.floats(0.01, 50.0), p=st.floats(0.0, 1.0))
@@ -433,13 +432,12 @@ def test_differences_match_direct_solves(y, L):
 
 def test_derived_quantities_identities():
     eq = equilibrium(MarketState(0.4, 2.0), BASE_PARAMS)
-    mu_H, sigma_H, mu_G = derived_quantities(eq, BASE_PARAMS)
-    assert mu_H == eq.mu + eq.sigma * 2.0
+    assert eq.mu_H == eq.mu + eq.sigma * 2.0
     assert math.isclose(
-        sigma_H, math.sqrt(2 * BASE_PARAMS.H) * BASE_PARAMS.epsilon**0.15 * eq.sigma,
+        eq.sigma_H, math.sqrt(2 * BASE_PARAMS.H) * BASE_PARAMS.epsilon**0.15 * eq.sigma,
         rel_tol=1e-15,
     )
-    assert mu_G == mu_H + (1.0 - eq.x_star) * eq.D_over_S
+    assert eq.mu_G == eq.mu_H + (1.0 - eq.x_star) * eq.D_over_S
 
 
 def test_derived_quantities_degenerate_cases():

@@ -16,6 +16,7 @@ from fbmecon import (
     output_steps,
     simulate_brownian,
 )
+from fbmecon.paths import _kernel
 
 
 @pytest.mark.parametrize("H", [0.35, 0.5, 0.65, 0.8])
@@ -44,6 +45,19 @@ def test_half_hurst_collapses_to_zero_memory():
     assert np.all(est.Lambda_hat == 0.0)
     assert np.all(est.lambda_hat == 0.0)
     assert np.all(np.isfinite(est.dw_hat))
+
+
+@pytest.mark.parametrize("H", [0.35, 0.5, 0.65])
+def test_recovered_memory_is_kernel_sums_of_recovered_increments(H):
+    # every kernel sum comes from one routine: the Lambda_hat the recursion
+    # feeds back and the lambda_hat summed after it are kernel_sums, bitwise
+    params = replace(BASE_PARAMS, H=H)
+    grid = TimeGrid(1.0, 300)
+    ref = euler_reference(simulate_brownian(grid, 4), grid, params)
+    est = estimate_memory(ref.Q, grid, params)
+    for order, got in ((1, est.Lambda_hat), (2, est.lambda_hat)):
+        direct = kernel_sums(est.dw_hat, grid.dt, params.epsilon, *_kernel(params, order))
+        assert np.array_equal(got, direct)
 
 
 def test_initial_values_are_zero():
