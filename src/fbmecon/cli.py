@@ -389,6 +389,10 @@ def main(argv=None) -> int:
     except (EquilibriumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other failure is a runtime failure too: one line, no traceback
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

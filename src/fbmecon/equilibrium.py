@@ -50,6 +50,7 @@ from .params import (
     derive_constants,
     validate,
 )
+from .paths import _kernel
 
 __all__ = [
     "MarketState",
@@ -111,7 +112,8 @@ class _Consts:
     params: ModelParams
     d: DerivedParams
     adjustment: AdjustmentFns
-    vol: float  # sqrt(2H) eps^h, the volatility scale of the memory kernel
+    vol: float  # sqrt(2H) eps^h, the w^H kernel at lag zero
+    lam0: float  # sqrt(2H) h eps^(h-1), the Lambda kernel at lag zero
     e2h: float  # eps^(2h)
     hh: float  # H h^2 eps^(2h-2)
     net_l: float  # 1 - l_C - l_M
@@ -129,11 +131,13 @@ def _constants(params: ModelParams, adjustment: AdjustmentFns | None = None) -> 
         raise ValueError("invalid parameters: " + "; ".join(report.errors))
     d = derive_constants(params)
     eps = params.epsilon
+    (p0, h0), (p1, h1) = _kernel(params, 0), _kernel(params, 1)
     return _Consts(
         params=params,
         d=d,
         adjustment=adjustment or default_adjustment(params),
-        vol=math.sqrt(2.0 * params.H) * eps**d.h,
+        vol=float(p0 * eps**h0),
+        lam0=float(p1 * eps**h1),
         e2h=eps ** (2.0 * d.h),
         hh=params.H * d.h * d.h * eps ** (2.0 * d.h - 2.0),
         net_l=1.0 - params.l_C - params.l_M,
@@ -285,7 +289,7 @@ def _sigma_y(c: _Ctx, kappa):
 
 def _mu_y(c: _Ctx, x, kappa, r, sigma_y):
     m, P, d = c.m, c.m.params, c.m.d
-    k1 = math.sqrt(2.0 * P.H) * d.h * P.epsilon ** (d.h - 1.0) * d.theta_M
+    k1 = m.lam0 * d.theta_M
     bracket = r - P.mu_D - P.sigma_D * c.Lam + kappa * (kappa + k1 * c.r1) / d.delta_M - c.cons_M
     return (
         -sigma_y * (c.Lam + 2.0 * P.H * m.e2h * P.sigma_D)

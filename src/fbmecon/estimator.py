@@ -9,12 +9,21 @@ by kernel sums:
     Lambda_hat[n+1] = sum_{k<=n} sqrt(2H) h      (t_{n+1} - t_k + eps)^(h-1) dw_hat[k+1]
     lambda_hat[n+1] = sum_{k<=n} sqrt(2H) h(h-1) (t_{n+1} - t_k + eps)^(h-2) dw_hat[k+1]
 
-with Lambda_hat[0] = lambda_hat[0] = 0.  The recursion is inherently
-sequential (each recovered increment consumes the memory level implied by
-the previous ones) and costs O(N^2) by direct summation; no transform
-acceleration, correctness first.  Only Lambda_hat feeds back, so only it is
-summed inside the recursion; lambda_hat is :func:`~fbmecon.paths.kernel_sums`
-over the recovered increments once they are all known.
+with Lambda_hat[0] = lambda_hat[0] = 0.  Each recovered increment consumes
+the memory level implied by the previous ones, so with the increments
+indexed from 0 the recursion is the lower-triangular Toeplitz system
+
+    vol dw_hat[n] + sigma_D dt sum_{k<n} K(t_n - t_k) dw_hat[k] = Z[n+1] - Z[n] - a0,
+
+with K the Lambda kernel, vol = sqrt(2H) eps^h sigma_D and
+a0 = (mu_D - H eps^(2h) sigma_D^2) dt.  It is solved at once, not step by step:
+the inverse of a lower-triangular Toeplitz matrix is again one, whose first
+column is the power series 1 / a(x) of the first column a, found by
+Newton's iteration (Brent & Kung 1978).  Applying it and summing the
+kernels are causal FFT convolutions, so the recovery costs O(N log N) up to
+the convolution's blocking and agrees with the sequential recursion to
+rounding.  Lambda_hat and lambda_hat are :func:`~fbmecon.paths.kernel_sums`
+over the recovered increments.
 
 The sup-norm error of the scheme against the exact memory decays pathwise
 like dt^(1/6 - e) for every e > 0, with a path-dependent constant; the decay
@@ -31,8 +40,9 @@ import numpy as np
 from .params import ModelParams
 from .paths import (
     TimeGrid,
+    _LagWeights,
+    _causal_convolve,
     _kernel,
-    _reversed_weights,
     _step_coefficients,
     kernel_sums,
     memory_exact,
@@ -66,6 +76,26 @@ class MemoryEstimate:
     lambda_hat: np.ndarray
 
 
+def _series_inverse(a: np.ndarray) -> np.ndarray:
+    """First column g of the inverse of the lower-triangular Toeplitz matrix T(a).
+
+    Equivalently the power series 1 / a(x) mod x^len(a).  Newton's iteration
+    (Brent & Kung 1978) doubles the number of exact coefficients per step:
+    with a g = 1 + x^k e(x) mod x^2k, g <- g (2 - a g) fixes coefficients
+    k .. 2k - 1 to -(g e)[0 .. k - 1] and leaves the first k alone.
+    """
+    n = len(a)
+    g = np.zeros(n)
+    g[0] = 1.0 / a[0]
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        e = _causal_convolve(a[:k2], g[:k2])[k:]
+        g[k:k2] = -_causal_convolve(g[: k2 - k], e)
+        k = k2
+    return g
+
+
 def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> MemoryEstimate:
     """Run the recovery recursion on N + 1 log-output samples.
 
@@ -83,19 +113,19 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
     if not 0.0 < params.H < 1.0:
         raise ValueError("H must lie in (0, 1)")
 
-    n_steps = grid.N
     dt = grid.dt
     a0, sdt, vol = _step_coefficients(params, dt)
-    # Lambda_hat feeds back into the recursion, so its kernel sum runs step
-    # by step; the weights and slices are those of kernel_sums
-    rev = _reversed_weights(n_steps, dt, params.epsilon, *_kernel(params, 1))
-
-    dZ = np.diff(Z)
-    dw_hat = np.empty(n_steps)
-    lam_big = np.zeros(n_steps + 1)
-    for n in range(n_steps):
-        dw_hat[n] = (dZ[n] - a0 - sdt * lam_big[n]) / vol
-        lam_big[n + 1] = np.dot(dw_hat[: n + 1], rev[n_steps - 1 - n:])
+    b = np.diff(Z) - a0
+    lam_kernel = _kernel(params, 1)
+    if lam_kernel[0] == 0.0:  # H = 1/2: the Lambda kernel vanishes, nothing feeds back
+        dw_hat = b / vol
+    else:
+        # the recursion is the lower-triangular Toeplitz system a * dw_hat = b
+        a = np.empty(grid.N)
+        a[0] = vol
+        a[1:] = sdt * _LagWeights(grid.N - 1, dt, params.epsilon, *lam_kernel)[:]
+        dw_hat = _causal_convolve(_series_inverse(a), b)
+    lam_big = kernel_sums(dw_hat, dt, params.epsilon, *lam_kernel)
     lam_small = kernel_sums(dw_hat, dt, params.epsilon, *_kernel(params, 2))
     return MemoryEstimate(grid=grid, dw_hat=dw_hat, Lambda_hat=lam_big, lambda_hat=lam_small)
 

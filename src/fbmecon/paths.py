@@ -94,13 +94,71 @@ def _kernel(params: ModelParams, order: int) -> tuple[float, float]:
     return prefactor, h - order
 
 
-def _reversed_weights(m: int, dt: float, epsilon: float, prefactor: float, exponent: float):
-    """Kernel weights at lags 1..m, reversed and contiguous for dot products.
+# Block length of the FFT convolution.  Inputs are cut into blocks of this
+# many samples, so every transform has 2 * _BLOCK points however long the
+# input is.
+_BLOCK = 1 << 14
 
-    rev[m - 1 - i] = prefactor * ((i + 1) dt + epsilon)**exponent.
+
+def _causal_convolve(a: np.ndarray, b, stride: int = 1) -> np.ndarray:
+    """Every stride-th term c[stride - 1 :: stride] of a causal convolution.
+
+    c[i] = sum_{j <= i} a[j] b[i - j] for i < len(a), by blocked FFTs; b
+    covers the same indices and need only support slicing (an array, or
+    :class:`_LagWeights`).  Both inputs are cut into blocks (of _BLOCK
+    samples, or one block when shorter) and transformed with zero padding
+    to twice the block length.  Output block r is the inverse transform of
+    sum_{p + q = r} A_p B_q, whose second half spills into block r + 1.
+    Each block of b is read once and its spectrum kept; the spectra of a
+    are recomputed where they are used, and each finished block gives up
+    its stride-th terms at once, so the memory beyond the result is that of
+    one spectrum set.  Every term is computed the same way whatever the
+    stride.  The rounding error of a term is a small multiple of the unit
+    roundoff times the norms of the blocks that meet there.
     """
-    lags = prefactor * (dt * np.arange(1, m + 1) + epsilon) ** exponent
-    return lags[::-1].copy()
+    m = len(a)
+    blk = min(_BLOCK, m)
+    n_fft = 1 << (2 * blk - 1).bit_length()
+
+    def spectrum(x, p):
+        return np.fft.rfft(x[p * blk : (p + 1) * blk], n_fft)
+
+    fb = []
+    out = np.empty(m // stride)
+    spill = 0.0
+    for r in range(-(-m // blk)):
+        fb.append(spectrum(b, r))
+        acc = fb[0] * spectrum(a, r)
+        for p in range(r):
+            acc += fb[r - p] * spectrum(a, p)
+        c = np.fft.irfft(acc, n_fft)
+        lo = r * blk
+        first = (stride - 1 - lo) % stride
+        keep = (c[:blk] + spill)[first : m - lo : stride]
+        k0 = (lo + first + 1) // stride - 1
+        out[k0 : k0 + len(keep)] = keep
+        spill = c[blk : 2 * blk]
+    return out
+
+
+@dataclass(frozen=True)
+class _LagWeights:
+    """Kernel weights prefactor * (l dt + epsilon)**exponent at lags l = 1..m.
+
+    Sliced like an array, it evaluates only the slice asked for, so a
+    convolution walks the weights a block at a time without holding all m.
+    """
+
+    m: int
+    dt: float
+    epsilon: float
+    prefactor: float
+    exponent: float
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        lo, hi, step = s.indices(self.m)
+        lags = np.arange(lo + 1, hi + 1, step)
+        return self.prefactor * (self.dt * lags + self.epsilon) ** self.exponent
 
 
 def kernel_sums(
@@ -120,24 +178,20 @@ def kernel_sums(
     for n = 0 .. M // stride (so out[0] = 0).  stride > 1 evaluates a
     refinement-R quadrature on the coarse grid of step stride * dt.
 
-    Every kernel sum over a known increment path goes through this routine:
-    w^H, Lambda and lambda in simulation, the Euler reference, and lambda_hat
-    in the recovery.  The one other kernel sum is the recovery's Lambda_hat,
-    which feeds back into its own recursion; it uses the same weights and
-    slices, so "the same sum" is computed by the same floating-point
-    operations everywhere.
+    Every kernel sum goes through this routine: w^H, Lambda and lambda in
+    simulation, the Euler reference, and Lambda_hat and lambda_hat in the
+    recovery.  The sums on all M fine nodes are one causal FFT convolution
+    and a stride keeps every stride-th of them, so a strided result equals
+    the plain one subsampled, bit for bit.
     """
     m = len(dw)
     if m % stride:
         raise ValueError(f"len(dw) = {m} is not a multiple of stride {stride}")
-    n_out = m // stride
-    out = np.zeros(n_out + 1)
+    out = np.zeros(m // stride + 1)
     if m == 0 or prefactor == 0.0:
         return out
-    rev = _reversed_weights(m, dt, epsilon, prefactor, exponent)
-    for n in range(1, n_out + 1):
-        j = n * stride
-        out[n] = np.dot(dw[:j], rev[m - j:])
+    weights = _LagWeights(m, dt, epsilon, prefactor, exponent)
+    out[1:] = _causal_convolve(np.asarray(dw, dtype=float), weights, stride)
     return out
 
 

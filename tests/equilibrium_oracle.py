@@ -2,7 +2,8 @@
 
 Every state is solved on its own in plain Python floats, and the Region-1
 fixed point is found the old way: a sign scan of g over [0, 1] at step 1e-3
-plus bisection of every bracket to width 1e-12.  The scan misses two roots
+plus bisection of every bracket to width 1e-12, polished by one secant
+step so a root sits at rounding level.  The scan misses two roots
 that share one scan cell, which tests show next to the closed-form roots.
 Results use the package's own result types, so fields compare one to one.
 """
@@ -234,7 +235,7 @@ def _fixed_point_g(c: _Ctx, n2: float, n3: float):
 
 
 def _bisect(g, a: float, b: float, ga: float, gb: float) -> float:
-    """Plain bisection on a sign-change bracket down to BISECT_TOL width."""
+    """Bisection on a sign-change bracket down to BISECT_TOL width, then a secant step."""
     if ga == 0.0:
         return a
     if gb == 0.0:
@@ -248,7 +249,9 @@ def _bisect(g, a: float, b: float, ga: float, gb: float) -> float:
             b, gb = m, gm
         else:
             a, ga = m, gm
-    return 0.5 * (a + b)
+    # one secant step on the final bracket brings the root to rounding level;
+    # the midpoint can sit 2.5e-13 off, enough to flip a tie between regions
+    return a - ga * (b - a) / (gb - ga)
 
 
 def scan_roots(g) -> list[float]:

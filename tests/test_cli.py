@@ -80,6 +80,30 @@ def test_simulate_unwritable_output_is_runtime_failure(cfg, tmp_path):
     assert rc == 2
 
 
+def assert_one_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert len(errors) == 1 and lines[-1] == errors[0]
+    assert not any("Traceback" in line for line in lines)
+    return errors[0]
+
+
+def test_simulate_unallocatable_grid_is_runtime_failure(tmp_path, capsys):
+    # 1e15 fine steps: numpy refuses the 7 PiB request up front, allocating nothing
+    cfg = write_cfg(tmp_path / "big.cfg", extra={"N": 1000, "refine": 10**12})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "x.csv"), "simulate"]) == 2
+    assert "allocate" in assert_one_error_line(capsys.readouterr().err)
+
+
+def test_unexpected_exception_is_runtime_failure(cfg, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("solver blew up\non two lines")
+
+    monkeypatch.setattr(importlib.import_module("fbmecon.cli"), "simulate_bundle", fail)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "x.csv"), "simulate"]) == 2
+    assert assert_one_error_line(capsys.readouterr().err) == "error: solver blew up on two lines"
+
+
 # ---------------------------------------------------------------------------
 # estimate
 

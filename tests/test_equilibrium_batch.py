@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import equilibrium_oracle as oracle
 from fbmecon import (
@@ -76,6 +76,9 @@ def test_batch_matches_oracle_and_scalar(p, lam):
     L=st.floats(-5.0, 5.0),
     lam=st.floats(-1.0, 1.0),
 )
+# p one ulp below 1: the Region-1 and Region-2 holdings tie, and a root
+# 2.5e-13 off (a bare bisection midpoint) makes the oracle pick region 2
+@example(y=0.5, p=0.9999999999999999, L=0.5, lam=0.0)
 def test_batch_matches_oracle_property(y, p, L, lam):
     # the oracle's holding is exact to its bisection width; kappa ~ 1/y
     # carries that error to about 1e-11 at y = 0.01, hence the field tolerance

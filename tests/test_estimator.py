@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,21 @@ def test_roundtrip_recovers_increments(H, seed):
     assert np.max(np.abs(est.dw_hat - dw)) <= 1e-10 * scale
     assert np.max(np.abs(est.Lambda_hat - ref.Lambda_tilde)) <= 1e-10 * scale
     assert np.max(np.abs(est.lambda_hat - ref.lambda_tilde)) <= 1e-10 * scale
+
+
+def test_roundtrip_at_a_million_steps():
+    # N = 2^20, the length of a year or two of minute bars: the FFT recovery
+    # keeps criterion 5's round-trip bound and takes seconds, not hours
+    t0 = time.monotonic()
+    grid = TimeGrid(1.0, 1 << 20)
+    dw = simulate_brownian(grid, 2020)
+    ref = euler_reference(dw, grid, BASE_PARAMS)
+    est = estimate_memory(ref.Q, grid, BASE_PARAMS)
+    scale = max(1.0, float(np.max(np.abs(dw))))
+    assert np.max(np.abs(est.dw_hat - dw)) <= 1e-10 * scale
+    assert np.max(np.abs(est.Lambda_hat - ref.Lambda_tilde)) <= 1e-10 * scale
+    assert np.max(np.abs(est.lambda_hat - ref.lambda_tilde)) <= 1e-10 * scale
+    assert time.monotonic() - t0 <= 60.0
 
 
 def test_half_hurst_collapses_to_zero_memory():
