@@ -36,14 +36,10 @@ from .estimator import (
 )
 from .params import (
     BASE_PARAMS,
-    AdjustmentFns,
     DerivedParams,
     ModelParams,
     ValidationReport,
-    adjustment_eval,
-    default_adjustment,
     derive_constants,
-    exponential_adjustment,
     load_config,
     params_from_config,
     validate,
@@ -64,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASE_PARAMS",
-    "AdjustmentFns",
     "ConvergenceReport",
     "DerivedParams",
     "EquilibriumError",
@@ -80,20 +75,17 @@ __all__ = [
     "SweepRow",
     "TimeGrid",
     "ValidationReport",
-    "adjustment_eval",
     "approx_fbm",
     "benchmark_differences",
     "benchmark_equilibrium",
     "boundary_equilibrium",
     "classify_memory",
     "convergence_study",
-    "default_adjustment",
     "derive_constants",
     "equilibrium",
     "equilibrium_batch",
     "estimate_memory",
     "euler_reference",
-    "exponential_adjustment",
     "kernel_sums",
     "load_config",
     "memory_exact",

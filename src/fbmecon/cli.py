@@ -79,10 +79,7 @@ class RunConfig:
     """Parsed configuration: model parameters plus grid and sweep settings."""
 
     def __init__(self, cfg: dict[str, str]):
-        try:
-            self.params: ModelParams = params_from_config(cfg)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        self.params: ModelParams = params_from_config(cfg)
         report = validate(self.params)
         for w in report.warnings:
             _log(f"warning: {w}")
@@ -128,8 +125,6 @@ def _load_run_config(args) -> RunConfig:
         cfg = load_config(args.config)
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}") from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     rc = RunConfig(cfg)
     if args.seed is not None:
         rc.seed = args.seed
@@ -164,8 +159,6 @@ def _cmd_estimate(args) -> int:
         grid, Z = csvio.read_t_z_csv(args.input)
     except OSError as exc:
         raise CliError(f"cannot read input: {exc}") from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     _log(f"estimate: {args.input} ({grid.N} steps, dt={grid.dt:g})")
     est = estimate_memory(Z, grid, rc.params)
     if args.out:
@@ -321,12 +314,7 @@ def _cmd_convergence(args) -> int:
         f"convergence: N_fine={args.n_fine} factors={factors} seeds={args.seeds} "
         f"T={rc.T:g} seed={rc.seed}"
     )
-    try:
-        report = convergence_study(
-            rc.params, rc.T, args.n_fine, factors, args.seeds, base_seed=rc.seed
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = convergence_study(rc.params, rc.T, args.n_fine, factors, args.seeds, base_seed=rc.seed)
     if args.out:
         csvio.write_convergence_csv(Path(args.out), report)
         _log(f"convergence: wrote {args.out}")

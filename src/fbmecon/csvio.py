@@ -34,6 +34,8 @@ SWEEP_HEADER = [
     "kappa", "mu_y", "sigma_y", "mu_H", "sigma_H", "mu_G", "D_over_S", "exists",
 ]
 CONVERGENCE_HEADER = ["dt", "median_err_Lambda", "median_err_lambda"]
+#: Relative tolerance on the spacing of an input time grid, as a fraction of dt.
+_SPACING_RTOL = 1e-9
 
 
 def fmt(x: float) -> str:
@@ -106,10 +108,10 @@ def write_convergence_csv(path, report) -> None:
     ))
 
 
-def read_t_z_csv(path, spacing_rtol: float = 1e-9) -> tuple[TimeGrid, np.ndarray]:
+def read_t_z_csv(path) -> tuple[TimeGrid, np.ndarray]:
     """Read a time series with columns t and Z (extra columns are ignored).
 
-    The grid must be uniform to within spacing_rtol * dt.  Times are taken
+    The grid must be uniform to within 1e-9 * dt.  Times are taken
     relative to the first sample, so files need not start at t = 0.
 
     Raises:
@@ -145,7 +147,7 @@ def read_t_z_csv(path, spacing_rtol: float = 1e-9) -> tuple[TimeGrid, np.ndarray
         raise ValueError(f"{path}: times must be increasing")
     dt = T / n
     gaps = np.diff(ta)
-    bad = np.nonzero(np.abs(gaps - dt) > spacing_rtol * dt)[0]
+    bad = np.nonzero(np.abs(gaps - dt) > _SPACING_RTOL * dt)[0]
     if bad.size:
         i = int(bad[0])
         raise ValueError(

@@ -25,9 +25,10 @@ does not exist and the four objective tables are returned as diagnostics.
 Every state is priced by one vectorised code path, :func:`equilibrium_batch`:
 the parameter constants are derived and validated once per batch, and every
 formula is elementwise over the states, so a scalar solve is a batch of one.
-A state whose adjustment evaluation fails or whose formulas produce a
-non-finite value gets its own error; the other states of the batch still
-price.
+The preference adjustment is the exponential ratio varphi = exp(beta Lambda)
+set by ``ModelParams.beta1``/``beta2``.  A state whose exponential overflows
+or whose formulas produce a non-finite value gets its own error; the other
+states of the batch still price.
 
 Everything is scale-free in the output level: prices enter only through the
 ratios D/S, D/W_C, S/W_C.  Bond positions need the time integral of the rate
@@ -41,15 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import (
-    AdjustmentFns,
-    DerivedParams,
-    ModelParams,
-    adjustment_eval,
-    default_adjustment,
-    derive_constants,
-    validate,
-)
+from .params import DerivedParams, ModelParams, derive_constants, validate
 from .paths import _kernel
 
 __all__ = [
@@ -111,7 +104,6 @@ class _Consts:
 
     params: ModelParams
     d: DerivedParams
-    adjustment: AdjustmentFns
     vol: float  # sqrt(2H) eps^h, the w^H kernel at lag zero
     lam0: float  # sqrt(2H) h eps^(h-1), the Lambda kernel at lag zero
     e2h: float  # eps^(2h)
@@ -120,7 +112,7 @@ class _Consts:
     n3: float  # the kink holding 1 / (1 + (1 - p) k)
 
 
-def _constants(params: ModelParams, adjustment: AdjustmentFns | None = None) -> _Consts:
+def _constants(params: ModelParams) -> _Consts:
     """Validate the parameters and derive every state-independent constant.
 
     Raises:
@@ -135,7 +127,6 @@ def _constants(params: ModelParams, adjustment: AdjustmentFns | None = None) -> 
     return _Consts(
         params=params,
         d=d,
-        adjustment=adjustment or default_adjustment(params),
         vol=float(p0 * eps**h0),
         lam0=float(p1 * eps**h1),
         e2h=eps ** (2.0 * d.h),
@@ -179,8 +170,8 @@ class _Ctx:
     y: np.ndarray
     Lam: np.ndarray
     lam: np.ndarray
-    r1: np.ndarray  # varphi'/varphi
-    r2: np.ndarray  # varphi''/varphi
+    r1: float  # varphi'/varphi = beta
+    r2: float  # varphi''/varphi = beta^2
     qC: np.ndarray  # consumption/wealth ratio of C: rho^(1/delta_C) varphi^theta_C
     qM: np.ndarray
     C: np.ndarray  # (1-y)/qC + y/qM, the wealth aggregator
@@ -197,26 +188,17 @@ class _Ctx:
     a_M: np.ndarray
 
 
-def _adjust(m: _Consts, Lam: np.ndarray, fail: _Failures) -> np.ndarray:
-    """(varphi, varphi'/varphi, varphi''/varphi) per state, one call per memory level.
+def _adjust(m: _Consts, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndarray, float, float]:
+    """varphi = exp(beta Lambda) per state and its log-derivatives beta, beta^2.
 
-    A memory level at which the adjustment maps raise (an overflowing
-    exponential, say) fails the states at that level only.
+    A state whose exponential overflows at a finite memory level fails on
+    its own, with the message of the scalar math.exp overflow.
     """
-    levels = Lam.tolist()
-    vals: dict[float, tuple | str] = {}
-    for L in levels:
-        if L not in vals:
-            try:
-                vals[L] = adjustment_eval(m.adjustment, L)
-            except (ArithmeticError, ValueError) as exc:
-                vals[L] = f"adjustment functions failed at Lambda={L:g}: {exc}"
-    rows = [vals[L] for L in levels]
-    for i, v in enumerate(rows):
-        if isinstance(v, str):
-            fail.put(i, EquilibriumError(v))
-            rows[i] = (math.nan,) * 3
-    return np.array(rows, dtype=float).reshape(-1, 3).T
+    beta = m.d.beta
+    varphi = np.exp(beta * Lam)
+    fail.flag(np.isfinite(Lam) & np.isinf(varphi),
+              lambda i: f"adjustment functions failed at Lambda={Lam[i]:g}: math range error")
+    return varphi, beta, beta * beta
 
 
 def _context(m: _Consts, y, Lam, lam) -> tuple[_Ctx, _Failures]:
@@ -232,6 +214,8 @@ def _context(m: _Consts, y, Lam, lam) -> tuple[_Ctx, _Failures]:
     fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
     P, d = m.params, m.d
     varphi, r1, r2 = _adjust(m, Lam, fail)
+    # powers of varphi, not exp(beta_i Lambda): folding would change the
+    # rounding, and a varphi that underflows to 0 (Lambda = -1e4) fails here
     qC = P.rho ** (1.0 / d.delta_C) * varphi**d.theta_C
     qM = P.rho ** (1.0 / d.delta_M) * varphi**d.theta_M
     C = (1.0 - y) / qC + y / qM
@@ -596,31 +580,27 @@ def _raise_if_failed(res):
     return res
 
 
-def equilibrium_batch(
-    y, Lambda, lam, params: ModelParams, adjustment: AdjustmentFns | None = None
-) -> list[EquilibriumResult | Exception]:
+def equilibrium_batch(y, Lambda, lam, params: ModelParams) -> list[EquilibriumResult | Exception]:
     """Equilibria of many states under one parameter set, in one vectorised pass.
 
     ``y``, ``Lambda`` and ``lam`` (the small memory level) broadcast against
     each other and are flattened in C order.  Returns one entry per state:
     the :class:`EquilibriumResult`, or the exception that state failed with
     (a ``ValueError`` for a state outside its domain, an
-    :class:`EquilibriumError` for a failed solve, such as an adjustment that
-    overflows at an extreme memory level).  One failed state never stops the
-    others.  Region selection, boundary states and non-existence follow
-    :func:`equilibrium`.
+    :class:`EquilibriumError` for a failed solve, such as an adjustment
+    exp(beta Lambda) that overflows at an extreme memory level).  One failed
+    state never stops the others.  Region selection, boundary states and
+    non-existence follow :func:`equilibrium`.
 
     Raises:
         ValueError: if the parameters are invalid (see :func:`validate`).
     """
-    m = _constants(params, adjustment)
+    m = _constants(params)
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, Lambda, lam)))
     return _solve(m, *(np.ravel(v) for v in arrays))
 
 
-def equilibrium(
-    state: MarketState, params: ModelParams, adjustment: AdjustmentFns | None = None
-) -> EquilibriumResult:
+def equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
     """Full equilibrium at one state, with region selection.
 
     Each region j in {1, 2, 3, 4} is tested by recomputing prices under its
@@ -641,14 +621,12 @@ def equilibrium(
         EquilibriumError: if the solve fails at this state.
     """
     return _raise_if_failed(
-        equilibrium_batch(state.y, state.Lambda, state.lambda_small, params, adjustment)[0]
+        equilibrium_batch(state.y, state.Lambda, state.lambda_small, params)[0]
     )
 
 
 @np.errstate(all="ignore")
-def benchmark_equilibrium(
-    state: MarketState, params: ModelParams, adjustment: AdjustmentFns | None = None
-) -> EquilibriumResult:
+def benchmark_equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
     """The full-protection benchmark economy (p = 1, zero diversion).
 
     Direct construction from the closed-form holding, labeled Region 2; the
@@ -656,7 +634,7 @@ def benchmark_equilibrium(
     """
     if not 0.0 < state.y < 1.0:
         raise ValueError("benchmark equilibrium requires y strictly inside (0, 1)")
-    m = _constants(replace(params, p=1.0), adjustment)
+    m = _constants(replace(params, p=1.0))
     c, fail = _context(m, state.y, state.Lambda, state.lambda_small)
     n_B = _n2(c)
     x, sigma, kappa, _, _ = _prices(c, n_B)
@@ -664,10 +642,7 @@ def benchmark_equilibrium(
 
 
 def boundary_equilibrium(
-    state: MarketState,
-    params: ModelParams,
-    branch_hint: int | None = None,
-    adjustment: AdjustmentFns | None = None,
+    state: MarketState, params: ModelParams, branch_hint: int | None = None
 ) -> EquilibriumResult:
     """Explicit equilibrium limits at y = 0 (n_C = 1) and y = 1 (n_C = 0).
 
@@ -681,15 +656,13 @@ def boundary_equilibrium(
         raise ValueError("boundary equilibrium requires y exactly 0 or 1")
     if branch_hint is not None and branch_hint not in (1, 2, 3, 4):
         raise ValueError(f"branch_hint must be a region in 1..4, got {branch_hint!r}")
-    m = _constants(params, adjustment)
+    m = _constants(params)
     arrays = (np.array([v]) for v in (state.y, state.Lambda, state.lambda_small))
     return _raise_if_failed(_solve(m, *arrays, branch_hint=branch_hint)[0])
 
 
 @np.errstate(all="ignore")
-def region_candidates(
-    state: MarketState, params: ModelParams, adjustment: AdjustmentFns | None = None
-) -> RegionCandidates:
+def region_candidates(state: MarketState, params: ModelParams) -> RegionCandidates:
     """The four candidate holdings at one state (y strictly interior).
 
     The Region-1 candidate solves the fixed-point equation, a cubic in n_C,
@@ -700,7 +673,7 @@ def region_candidates(
     """
     if not 0.0 < state.y < 1.0:
         raise ValueError("region candidates require y strictly inside (0, 1)")
-    c, fail = _context(_constants(params, adjustment), state.y, state.Lambda, state.lambda_small)
+    c, fail = _context(_constants(params), state.y, state.Lambda, state.lambda_small)
     n, _, roots = _candidates(c, fail, fail.ok())
     if fail.err[0] is not None:
         raise fail.err[0]
@@ -718,7 +691,6 @@ def benchmark_differences(
     params: ModelParams,
     eq: EquilibriumResult,
     bench: EquilibriumResult,
-    adjustment: AdjustmentFns | None = None,
 ) -> tuple[float, float, float]:
     """Closed-form (sigma, kappa, sigma_y) gaps to the benchmark economy.
 
@@ -726,7 +698,7 @@ def benchmark_differences(
     n_C - n_C^B; they are a cross-check of the two independent solves, not a
     third solver.  Region-2 states give exactly zero.
     """
-    m = _constants(params, adjustment)
+    m = _constants(params)
     c, _ = _context(m, state.y, state.Lambda, state.lambda_small)
     dn = eq.n_C - bench.n_C
     B_eq = eq.n_C * c.qC + (1.0 - eq.n_C) * c.qM
@@ -769,12 +741,7 @@ class PartialPolicies:
 
 
 @np.errstate(all="ignore")
-def partial_policies(
-    prices: Prices,
-    state: MarketState,
-    params: ModelParams,
-    adjustment: AdjustmentFns | None = None,
-) -> PartialPolicies:
+def partial_policies(prices: Prices, state: MarketState, params: ModelParams) -> PartialPolicies:
     """Optimal policies when (r, mu, sigma) and the ratios are handed in.
 
     The four candidates come from the price-based first-order conditions; a
@@ -792,7 +759,7 @@ def partial_policies(
         raise ValueError("partial policies need sigma != 0")
     if min(prices.D_over_S, prices.D_over_WC, prices.S_over_WC, prices.S_over_WM) <= 0.0:
         raise ValueError("price ratios must be positive")
-    m = _constants(params, adjustment)
+    m = _constants(params)
     P = m.params
     c, _ = _context(m, state.y, state.Lambda, state.lambda_small)
     # the objective uses the handed ratios, not the state-implied ones
@@ -840,14 +807,7 @@ class SweepRow:
     error: str | None = None
 
 
-def sweep(
-    params: ModelParams,
-    y_values,
-    p_values,
-    Lambda_values,
-    lam: float = 0.0,
-    adjustment: AdjustmentFns | None = None,
-) -> list[SweepRow]:
+def sweep(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0.0) -> list[SweepRow]:
     """Cross-product sweep over (y, p, Lambda) with per-row failure capture.
 
     Rows are emitted in deterministic order: y outermost, then p, then
@@ -862,7 +822,7 @@ def sweep(
     by_p = []
     for p in ps:
         try:
-            by_p.append(equilibrium_batch(y_grid, L_grid, lam, replace(params, p=p), adjustment))
+            by_p.append(equilibrium_batch(y_grid, L_grid, lam, replace(params, p=p)))
         except ValueError as exc:
             by_p.append([exc] * len(y_grid))
     rows: list[SweepRow] = []

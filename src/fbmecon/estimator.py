@@ -60,6 +60,9 @@ __all__ = [
     "classify_memory",
 ]
 
+#: Terminal memory within this distance of zero is classified as 'none'.
+_DEAD_BAND = 1e-12
+
 
 @dataclass
 class MemoryEstimate:
@@ -130,9 +133,9 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
     return MemoryEstimate(grid=grid, dw_hat=dw_hat, Lambda_hat=lam_big, lambda_hat=lam_small)
 
 
-def classify_memory(Lambda_terminal: float, dead_band: float = 1e-12) -> str:
-    """Classify terminal memory as 'good', 'bad', or 'none' by its sign."""
-    if abs(Lambda_terminal) <= dead_band:
+def classify_memory(Lambda_terminal: float) -> str:
+    """Classify terminal memory by its sign: 'good', 'bad', or 'none' within 1e-12 of 0."""
+    if abs(Lambda_terminal) <= _DEAD_BAND:
         return "none"
     return "good" if Lambda_terminal > 0 else "bad"
 
@@ -143,25 +146,17 @@ class EulerReference:
 
     Lambda_tilde / lambda_tilde are the kernel sums over the given
     increments; Q steps the output recursion with Lambda_tilde at the left
-    node, and Z_tilde with the caller-supplied exact memory (falling back to
-    Lambda_tilde, which makes Z_tilde == Q, when no finer truth exists).
+    node.
     """
 
     grid: TimeGrid
     Lambda_tilde: np.ndarray
     lambda_tilde: np.ndarray
-    Z_tilde: np.ndarray
     Q: np.ndarray
 
 
-def euler_reference(
-    dw: np.ndarray,
-    grid: TimeGrid,
-    params: ModelParams,
-    Lambda_exact: np.ndarray | None = None,
-    D0: float = 1.0,
-) -> EulerReference:
-    """Kernel sums and Euler output paths from known increments.
+def euler_reference(dw: np.ndarray, grid: TimeGrid, params: ModelParams) -> EulerReference:
+    """Kernel sums and the Euler output path from known increments.
 
     These are the reference schemes the recovery recursion is measured
     against: feeding Q back through :func:`estimate_memory` returns the
@@ -172,12 +167,8 @@ def euler_reference(
     if dw.shape != (grid.N,):
         raise ValueError(f"expected {grid.N} increments, got shape {dw.shape}")
     lam_big, lam_small = memory_exact(grid, dw, params)
-    Q, _ = simulate_output(grid, dw, lam_big, params, D0=D0)
-    if Lambda_exact is None:
-        Z_tilde = Q
-    else:
-        Z_tilde, _ = simulate_output(grid, dw, Lambda_exact, params, D0=D0)
-    return EulerReference(grid=grid, Lambda_tilde=lam_big, lambda_tilde=lam_small, Z_tilde=Z_tilde, Q=Q)
+    Q, _ = simulate_output(grid, dw, lam_big, params)
+    return EulerReference(grid=grid, Lambda_tilde=lam_big, lambda_tilde=lam_small, Q=Q)
 
 
 @dataclass

@@ -1,13 +1,14 @@
-"""Exogenous model parameters, derived constants, and the adjustment family.
+"""Exogenous model parameters, derived constants, and configuration files.
 
 Two shareholders (a controlling one who can divert a fraction of the output,
 and a protected minority) trade a bond and a stock backed by an output stream
 driven by an approximate fractional Brownian motion with Hurst index ``H``
 and smoothing parameter ``epsilon``.  Preferences weigh current consumption
 and wealth against the cumulated past information ``Lambda`` through a pair
-of increasing adjustment functions; every equilibrium formula consumes only
-their ratio ``varphi`` and its first two logarithmic derivatives, so that
-ratio is the whole adjustment interface here.
+of increasing adjustment functions, the exponentials exp(beta1 Lambda) and
+exp(beta2 Lambda).  Every equilibrium formula consumes only their ratio
+varphi(Lambda) = exp(beta Lambda), beta = beta1 - beta2, whose first two
+logarithmic derivatives are the constants beta and beta^2.
 
 Everything in this module is immutable and pure.
 """
@@ -16,19 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping
+from typing import Mapping
 
 __all__ = [
     "ModelParams",
     "DerivedParams",
-    "AdjustmentFns",
     "ValidationReport",
     "BASE_PARAMS",
     "validate",
     "derive_constants",
-    "exponential_adjustment",
-    "default_adjustment",
-    "adjustment_eval",
     "load_config",
     "params_from_config",
 ]
@@ -208,50 +205,6 @@ def derive_constants(params: ModelParams) -> DerivedParams:
         beta_C=beta * theta_C,
         beta_M=beta * theta_M,
     )
-
-
-@dataclass(frozen=True)
-class AdjustmentFns:
-    """Evaluator for the adjustment ratio varphi and its log-derivatives.
-
-    ``varphi`` maps a memory level Lambda to the ratio value; ``ratio1`` and
-    ``ratio2`` map Lambda to varphi'(Lambda)/varphi(Lambda) and
-    varphi''(Lambda)/varphi(Lambda).  Any twice continuously differentiable
-    positive ratio with varphi(0) = 1 is admissible; supply the three maps to
-    use a non-exponential family.
-    """
-
-    varphi: Callable[[float], float]
-    ratio1: Callable[[float], float]
-    ratio2: Callable[[float], float]
-
-
-def exponential_adjustment(beta: float) -> AdjustmentFns:
-    """The exponential family: varphi(L) = exp(beta L), ratios beta, beta^2.
-
-    beta = 0 recovers the memoryless objective (varphi identically 1).
-    """
-    return AdjustmentFns(
-        varphi=lambda lam: math.exp(beta * lam),
-        ratio1=lambda lam: beta,
-        ratio2=lambda lam: beta * beta,
-    )
-
-
-def default_adjustment(params: ModelParams) -> AdjustmentFns:
-    """Exponential adjustment with the net exponent beta1 - beta2."""
-    return exponential_adjustment(params.beta)
-
-
-def adjustment_eval(fns: AdjustmentFns, Lambda: float) -> tuple[float, float, float]:
-    """Evaluate (varphi, varphi'/varphi, varphi''/varphi) at one memory level.
-
-    Raises:
-        ValueError: if Lambda is not finite.
-    """
-    if not math.isfinite(Lambda):
-        raise ValueError(f"Lambda must be finite, got {Lambda!r}")
-    return fns.varphi(Lambda), fns.ratio1(Lambda), fns.ratio2(Lambda)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from fbmecon import (
-    AdjustmentFns,
     EquilibriumError,
     EquilibriumResult,
     MarketState,
     ModelParams,
     RegionCandidates,
-    adjustment_eval,
-    default_adjustment,
     derive_constants,
 )
 
@@ -79,9 +76,10 @@ class _Ctx:
     e2h: float  # eps^(2h)
 
 
-def _context(state: MarketState, params: ModelParams, adjustment: AdjustmentFns) -> _Ctx:
+def _context(state: MarketState, params: ModelParams) -> _Ctx:
     d = derive_constants(params)
-    varphi, r1, r2 = adjustment_eval(adjustment, state.Lambda)
+    beta = params.beta
+    varphi, r1, r2 = math.exp(beta * state.Lambda), beta, beta * beta
     y = state.y
     qC = params.rho ** (1.0 / d.delta_C) * varphi**d.theta_C
     qM = params.rho ** (1.0 / d.delta_M) * varphi**d.theta_M
@@ -356,14 +354,11 @@ def _result_from_prices(
     return eq
 
 
-def equilibrium(
-    state: MarketState, params: ModelParams, adjustment: AdjustmentFns | None = None
-) -> EquilibriumResult:
+def equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
     """Old scalar solve of one state."""
     if state.y in (0.0, 1.0):
-        return boundary_equilibrium(state, params, adjustment=adjustment)
-    adj = adjustment or default_adjustment(params)
-    c = _context(state, params, adj)
+        return boundary_equilibrium(state, params)
+    c = _context(state, params)
     cands = _candidates(c)
 
     J_tables: dict[int, tuple[float, float, float, float]] = {}
@@ -427,15 +422,13 @@ def boundary_equilibrium(
     state: MarketState,
     params: ModelParams,
     branch_hint: int | None = None,
-    adjustment: AdjustmentFns | None = None,
 ) -> EquilibriumResult:
     """Old scalar solve of one state."""
     if state.y not in (0.0, 1.0):
         raise ValueError("boundary equilibrium requires y exactly 0 or 1")
     if branch_hint is not None and branch_hint not in (1, 2, 3, 4):
         raise ValueError(f"branch_hint must be a region in 1..4, got {branch_hint!r}")
-    adj = adjustment or default_adjustment(params)
-    c = _context(state, params, adj)
+    c = _context(state, params)
 
     if state.y == 0.0:
         n_C = 1.0
@@ -445,7 +438,7 @@ def boundary_equilibrium(
         else:
             if branch_hint is None:
                 probe = equilibrium(
-                    MarketState(1e-4, state.Lambda, state.lambda_small), params, adj
+                    MarketState(1e-4, state.Lambda, state.lambda_small), params
                 )
                 if not probe.exists:
                     raise EquilibriumError(

@@ -102,7 +102,8 @@ def test_candidates_require_interior_y():
 def exponential_reference(state, params, n_C, x):
     """All equilibrium price formulas written directly in their
     exponential-family form (beta_C, beta_M exponents), as an independent
-    oracle for the general-ratio implementation."""
+    oracle for the package's form in the ratio varphi = exp(beta Lambda)
+    (varphi**theta_i, log-derivatives beta and beta^2)."""
     d = derive_constants(params)
     y, L, lam = state.y, state.Lambda, state.lambda_small
     H, eps, sD = params.H, params.epsilon, params.sigma_D

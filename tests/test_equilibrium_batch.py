@@ -8,6 +8,7 @@ sensitivity to the holding.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,36 @@ def test_sweep_keeps_going_past_extreme_memory():
             assert row.result is None and row.error
         else:
             assert row.error is None and row.result.exists
+
+
+# exp(beta Lambda) overflows just above beta Lambda = log(DBL_MAX) ~ 709.78
+_EDGE = math.log(sys.float_info.max) / BASE_PARAMS.beta
+_MAGNITUDE = st.one_of(st.floats(0.0, 1e5), st.floats(_EDGE * (1 - 1e-6), _EDGE * (1 + 1e-6)),
+                       st.floats(_EDGE * (1 - 1e-13), _EDGE * (1 + 1e-13)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ys=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    ps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+    Ls=st.lists(st.tuples(st.sampled_from([1.0, -1.0]), _MAGNITUDE).map(lambda t: t[0] * t[1]),
+                min_size=1, max_size=4),
+)
+def test_sweep_overflow_edge_property(ys, ps, Ls):
+    # a state fails with the adjustment message exactly where math.exp overflows
+    rows = sweep(BASE_PARAMS, ys, ps, Ls)
+    assert len(rows) == len(ys) * len(ps) * len(Ls)
+    for row in rows:
+        try:
+            math.exp(BASE_PARAMS.beta * row.Lambda)
+            overflow = False
+        except OverflowError:
+            overflow = True
+        assert (row.result is None) == (row.error is not None)
+        assert row.error is None or row.error.strip()
+        assert ("adjustment functions failed" in (row.error or "")) == overflow, row
+        if overflow:
+            assert row.error == f"adjustment functions failed at Lambda={row.Lambda:g}: math range error"
 
 
 @pytest.mark.parametrize("change", [dict(gamma_C=1.0), dict(l_C=0.4, l_M=0.6)])

@@ -117,18 +117,6 @@ def test_euler_reference_zero_noise():
     h = params.H - 0.5
     drift = params.mu_D - params.H * params.epsilon ** (2 * h) * params.sigma_D**2
     assert np.allclose(ref.Q, drift * grid.nodes(), rtol=1e-13, atol=1e-18)
-    assert np.array_equal(ref.Z_tilde, ref.Q)  # no exact memory supplied
-
-
-def test_euler_reference_with_exact_memory():
-    grid = TimeGrid(1.0, 64)
-    dw_fine = simulate_brownian(grid.refined(8), 2)
-    big, _ = memory_exact(grid, dw_fine, BASE_PARAMS, refine=8)
-    dw = dw_fine.reshape(grid.N, 8).sum(axis=1)
-    ref = euler_reference(dw, grid, BASE_PARAMS, Lambda_exact=big)
-    assert not np.array_equal(ref.Z_tilde, ref.Q)
-    steps = output_steps(grid, dw, big, BASE_PARAMS)
-    assert np.allclose(np.diff(ref.Z_tilde), steps, rtol=1e-12, atol=1e-18)
 
 
 def test_euler_variance_discrete_sum():

@@ -1,19 +1,20 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fbmecon import (
     BASE_PARAMS,
-    AdjustmentFns,
-    adjustment_eval,
+    MarketState,
     derive_constants,
-    exponential_adjustment,
+    equilibrium_batch,
     load_config,
     params_from_config,
     validate,
 )
+from fbmecon.equilibrium import _adjust, _constants, _Failures
 
 
 def test_base_params_pass_validation():
@@ -111,59 +112,51 @@ def test_nonfinite_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Adjustment family
+# Adjustment family: varphi(Lambda) = exp(beta Lambda) with beta = beta1 - beta2,
+# as the equilibrium solver evaluates it over a batch of memory levels
 
 
-def test_exponential_adjustment_at_zero():
-    fns = exponential_adjustment(0.1)
-    assert adjustment_eval(fns, 0.0) == (1.0, 0.1, 0.1 * 0.1)
+def adjust(beta, *levels):
+    """(varphi, varphi'/varphi, varphi''/varphi) and each level's failure."""
+    Lam = np.array(levels, dtype=float)
+    fail = _Failures(np.full(len(Lam), 0.5), Lam)
+    varphi, r1, r2 = _adjust(_constants(replace(BASE_PARAMS, beta1=beta)), Lam, fail)
+    return varphi, r1, r2, fail.err
 
 
-def test_exponential_adjustment_frozen_value():
-    fns = exponential_adjustment(0.1)
-    v, r1, r2 = adjustment_eval(fns, 5.0)
-    assert math.isclose(v, 1.6487212707001282, rel_tol=1e-15)  # e^0.5, mpmath
+def test_adjustment_at_zero():
+    varphi, r1, r2, err = adjust(0.1, 0.0)
+    assert varphi.tolist() == [1.0] and (r1, r2) == (0.1, 0.1 * 0.1)
+    assert err == [None]
+
+
+def test_adjustment_frozen_value():
+    varphi, r1, r2, _ = adjust(0.1, 5.0)
+    assert math.isclose(varphi[0], 1.6487212707001282, rel_tol=1e-15)  # e^0.5, mpmath
     assert r1 == 0.1 and r2 == 0.010000000000000002
 
 
 def test_zero_beta_recovers_memoryless():
-    fns = exponential_adjustment(0.0)
-    for lam in (-7.0, 0.0, 3.5):
-        assert adjustment_eval(fns, lam) == (1.0, 0.0, 0.0)
+    varphi, r1, r2, err = adjust(0.0, -7.0, 0.0, 3.5)
+    assert varphi.tolist() == [1.0, 1.0, 1.0] and (r1, r2) == (0.0, 0.0)
+    assert err == [None] * 3
 
 
 def test_nonfinite_lambda_rejected():
-    fns = exponential_adjustment(0.1)
-    with pytest.raises(ValueError):
-        adjustment_eval(fns, float("inf"))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MarketState(0.5, bad)
+        (res,) = equilibrium_batch(0.5, bad, 0.0, BASE_PARAMS)
+        assert isinstance(res, ValueError) and "memory levels must be finite" in str(res)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.05, 0.1, 0.7])
 @pytest.mark.parametrize("lam", [-5.0, -0.3, 0.0, 1.0, 5.0])
 def test_adjustment_smoothness(beta, lam):
     # centered finite difference of varphi vs varphi * ratio1 at step 1e-5
-    fns = exponential_adjustment(beta)
     step = 1e-5
-    v, r1, _ = adjustment_eval(fns, lam)
-    fd = (fns.varphi(lam + step) - fns.varphi(lam - step)) / (2 * step)
-    assert math.isclose(fd, v * r1, rel_tol=1e-6, abs_tol=1e-12)
-
-
-def test_general_adjustment_hook():
-    # non-exponential family through the generic three-map interface
-    b = 0.2
-    fns = AdjustmentFns(
-        varphi=lambda L: math.exp(b * math.sin(L)),
-        ratio1=lambda L: b * math.cos(L),
-        ratio2=lambda L: (b * math.cos(L)) ** 2 - b * math.sin(L),
-    )
-    assert fns.varphi(0.0) == 1.0
-    v, r1, r2 = adjustment_eval(fns, 0.7)
-    step = 1e-5
-    fd1 = (fns.varphi(0.7 + step) - fns.varphi(0.7 - step)) / (2 * step)
-    fd2 = (fns.varphi(0.7 + step) - 2 * v + fns.varphi(0.7 - step)) / step**2
-    assert math.isclose(fd1, v * r1, rel_tol=1e-6)
-    assert math.isclose(fd2, v * r2, rel_tol=1e-4)
+    (lo, v, hi), r1, _, _ = adjust(beta, lam - step, lam, lam + step)
+    assert math.isclose((hi - lo) / (2 * step), v * r1, rel_tol=1e-6, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
