@@ -13,7 +13,6 @@ from .equilibrium import (
     MarketState,
     PartialPolicies,
     Prices,
-    RegionCandidates,
     SweepRow,
     benchmark_differences,
     benchmark_equilibrium,
@@ -21,7 +20,6 @@ from .equilibrium import (
     equilibrium,
     equilibrium_batch,
     partial_policies,
-    region_candidates,
     sweep,
     x_star,
 )
@@ -38,7 +36,6 @@ from .params import (
     BASE_PARAMS,
     DerivedParams,
     ModelParams,
-    ValidationReport,
     derive_constants,
     load_config,
     params_from_config,
@@ -47,10 +44,8 @@ from .params import (
 from .paths import (
     PathBundle,
     TimeGrid,
-    approx_fbm,
     kernel_sums,
     memory_exact,
-    output_steps,
     simulate_brownian,
     simulate_bundle,
     simulate_output,
@@ -71,11 +66,8 @@ __all__ = [
     "PartialPolicies",
     "PathBundle",
     "Prices",
-    "RegionCandidates",
     "SweepRow",
     "TimeGrid",
-    "ValidationReport",
-    "approx_fbm",
     "benchmark_differences",
     "benchmark_equilibrium",
     "boundary_equilibrium",
@@ -89,10 +81,8 @@ __all__ = [
     "kernel_sums",
     "load_config",
     "memory_exact",
-    "output_steps",
     "params_from_config",
     "partial_policies",
-    "region_candidates",
     "simulate_brownian",
     "simulate_bundle",
     "simulate_output",

@@ -48,13 +48,11 @@ from .paths import _kernel
 __all__ = [
     "MarketState",
     "EquilibriumResult",
-    "RegionCandidates",
     "Prices",
     "PartialPolicies",
     "SweepRow",
     "EquilibriumError",
     "x_star",
-    "region_candidates",
     "equilibrium",
     "equilibrium_batch",
     "benchmark_equilibrium",
@@ -116,11 +114,9 @@ def _constants(params: ModelParams) -> _Consts:
     """Validate the parameters and derive every state-independent constant.
 
     Raises:
-        ValueError: listing every hard error :func:`validate` reports.
+        ValueError: if the parameters are invalid (see :func:`validate`).
     """
-    report = validate(params)
-    if not report.ok:
-        raise ValueError("invalid parameters: " + "; ".join(report.errors))
+    validate(params)
     d = derive_constants(params)
     eps = params.epsilon
     (p0, h0), (p1, h1) = _kernel(params, 0), _kernel(params, 1)
@@ -316,15 +312,6 @@ def _n2(c: _Ctx):
 # Candidate holdings
 
 
-@dataclass
-class RegionCandidates:
-    """The four candidate holdings; n[0] is the objective-best fixed-point root."""
-
-    n: tuple[float, float, float, float]
-    available: tuple[bool, bool, bool, bool]
-    n1_roots: list[float]
-
-
 @np.errstate(all="ignore")
 def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
     """Every root in [0, 1] of g(n) = -n + n2 + a (1 - n/n3) (b0 + b1 n)^2.
@@ -365,7 +352,7 @@ def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
 
 
 def _candidates(c: _Ctx, fail: _Failures, live):
-    """Candidate holdings (4, S), their prices, and the fixed-point roots (3, S).
+    """Candidate holdings (4, S) and their prices.
 
     Region 1 takes the root whose objective under its own prices is largest
     (the smallest such root on ties).  ``live`` masks the interior states
@@ -407,7 +394,7 @@ def _candidates(c: _Ctx, fail: _Failures, live):
     J_roots = _J(c, n, x, r, mu, sigma)
     best = np.where(np.isfinite(J_roots), J_roots, -np.inf).argmax(axis=0)
     picked = np.concatenate([table[:, best, np.arange(len(best))][:, None], table[:, 3:]], axis=1)
-    return picked[0], tuple(picked[1:]), roots
+    return picked[0], tuple(picked[1:])
 
 
 def _select(c: _Ctx, n, prices, live):
@@ -543,7 +530,7 @@ def _solve(m: _Consts, y, Lam, lam, branch_hint: int | None = None) -> list:
     c, fail = _context(m, y, Lam, lam)
     interior = (y > 0.0) & (y < 1.0)
     live = interior & fail.ok()
-    n, prices, _ = _candidates(c, fail, live)
+    n, prices = _candidates(c, fail, live)
     code, j, tables, avail = _select(c, n, prices, live)
     idx = np.arange(len(y))
     n_C, x, sigma, kappa = (v[j, idx] for v in (n, *prices[:3]))
@@ -659,30 +646,6 @@ def boundary_equilibrium(
     m = _constants(params)
     arrays = (np.array([v]) for v in (state.y, state.Lambda, state.lambda_small))
     return _raise_if_failed(_solve(m, *arrays, branch_hint=branch_hint)[0])
-
-
-@np.errstate(all="ignore")
-def region_candidates(state: MarketState, params: ModelParams) -> RegionCandidates:
-    """The four candidate holdings at one state (y strictly interior).
-
-    The Region-1 candidate solves the fixed-point equation, a cubic in n_C,
-    in closed form (see :func:`_fixed_point_roots`); existence of a root in
-    [0, 1] is guaranteed (g(0) >= 0 >= g(1), checked) but uniqueness is
-    not, so every root in [0, 1] is retained and the objective-best one is
-    reported first.
-    """
-    if not 0.0 < state.y < 1.0:
-        raise ValueError("region candidates require y strictly inside (0, 1)")
-    c, fail = _context(_constants(params), state.y, state.Lambda, state.lambda_small)
-    n, _, roots = _candidates(c, fail, fail.ok())
-    if fail.err[0] is not None:
-        raise fail.err[0]
-    n = tuple(n[:, 0].tolist())
-    return RegionCandidates(
-        n=n,
-        available=tuple(math.isfinite(v) and 0.0 <= v <= 1.0 for v in n),
-        n1_roots=[v for v in roots[:, 0].tolist() if not math.isnan(v)],
-    )
 
 
 @np.errstate(all="ignore")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, validate
 from .paths import (
     TimeGrid,
     _LagWeights,
@@ -103,18 +103,16 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
     """Run the recovery recursion on N + 1 log-output samples.
 
     Raises:
-        ValueError: on length mismatch, non-finite samples, or sigma_D <= 0 /
-            H outside (0, 1) (the inversion divides by sqrt(2H) eps^h sigma_D).
+        ValueError: on length mismatch, non-finite samples, or invalid
+            parameters (see :func:`~fbmecon.params.validate`; the inversion
+            divides by sqrt(2H) eps^h sigma_D).
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (grid.N + 1,):
         raise ValueError(f"expected {grid.N + 1} log-output samples, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise ValueError("log-output samples must be finite")
-    if params.sigma_D <= 0:
-        raise ValueError("sigma_D must be positive")
-    if not 0.0 < params.H < 1.0:
-        raise ValueError("H must lie in (0, 1)")
+    validate(params)
 
     dt = grid.dt
     a0, sdt, vol = _step_coefficients(params, dt)
@@ -218,13 +216,11 @@ def convergence_study(
     """
     # largest factor (coarsest grid, largest dt) first: dt_values strictly decreasing
     factors = sorted({int(f) for f in coarse_factors}, reverse=True)
-    if not factors:
-        raise ValueError("need at least one coarse factor")
     for f in factors:
         if f < 1 or N_fine % f:
             raise ValueError(f"coarse factor {f} does not divide N_fine = {N_fine}")
     if sum(1 for f in factors if f > 1) < 2:
-        raise ValueError("need at least two coarse factors > 1 to fit a rate")
+        raise ValueError("need at least two factors > 1 to fit a convergence rate")
     if seeds < 1:
         raise ValueError("need at least one seed")
 

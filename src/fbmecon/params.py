@@ -22,7 +22,6 @@ from typing import Mapping
 __all__ = [
     "ModelParams",
     "DerivedParams",
-    "ValidationReport",
     "BASE_PARAMS",
     "validate",
     "derive_constants",
@@ -118,37 +117,9 @@ class DerivedParams:
     beta_M: float
 
 
-@dataclass
-class ValidationReport:
-    """Structured findings from :func:`validate`; never raises."""
-
-    errors: list[str]
-    warnings: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate(params: ModelParams) -> ValidationReport:
-    """Check hard invariants (errors) and soft advisories (warnings).
-
-    Hard errors mark parameter sets under which the model is mathematically
-    undefined; warnings flag values the calibration guidance argues against
-    (an extreme epsilon makes the modified output volatility implausible,
-    though epsilon = 1e-5 is still useful for comparisons).
-    """
+def _domain_errors(q: ModelParams) -> list[str]:
+    """The hard errors of a parameter set whose fields are all finite reals."""
     errors: list[str] = []
-    warnings: list[str] = []
-    q = params
-
-    for f in fields(q):
-        v = getattr(q, f.name)
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            errors.append(f"{f.name} must be a finite real, got {v!r}")
-    if errors:
-        return ValidationReport(errors, warnings)
-
     if q.sigma_D <= 0:
         errors.append("sigma_D must be positive")
     if not 0.0 < q.H < 1.0:
@@ -179,13 +150,36 @@ def validate(params: ModelParams) -> ValidationReport:
         errors.append("beta1 and beta2 must be nonnegative")
     if q.beta2 > q.beta1:
         errors.append("beta2 must not exceed beta1")
+    return errors
 
-    if not errors and not 0.01 < q.epsilon < 1.0:
-        warnings.append(
-            f"epsilon = {q.epsilon:g} is outside the recommended interval (0.01, 1); "
+
+def validate(params: ModelParams) -> list[str]:
+    """Check the hard invariants and return the soft advisories (warnings).
+
+    Hard errors mark parameter sets under which the model is mathematically
+    undefined; warnings flag values the calibration guidance argues against
+    (an extreme epsilon makes the modified output volatility implausible,
+    though epsilon = 1e-5 is still useful for comparisons).  Every entry
+    point that rejects invalid parameters does so through here.
+
+    Raises:
+        ValueError: ``invalid parameters: `` followed by every hard error,
+            joined by ``; ``.
+    """
+    errors: list[str] = []
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
+            errors.append(f"{f.name} must be a finite real, got {v!r}")
+    errors = errors or _domain_errors(params)
+    if errors:
+        raise ValueError("invalid parameters: " + "; ".join(errors))
+    if not 0.01 < params.epsilon < 1.0:
+        return [
+            f"epsilon = {params.epsilon:g} is outside the recommended interval (0.01, 1); "
             "the modified output volatility sqrt(2H) eps^(H-1/2) sigma_D becomes extreme"
-        )
-    return ValidationReport(errors, warnings)
+        ]
+    return []
 
 
 def derive_constants(params: ModelParams) -> DerivedParams:

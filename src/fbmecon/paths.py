@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, validate
 
 __all__ = [
     "TimeGrid",
@@ -31,8 +31,6 @@ __all__ = [
     "simulate_brownian",
     "kernel_sums",
     "memory_exact",
-    "approx_fbm",
-    "output_steps",
     "simulate_output",
     "simulate_bundle",
 ]
@@ -217,21 +215,6 @@ def memory_exact(
     return lam_big, lam_small
 
 
-def approx_fbm(
-    grid: TimeGrid, dw_fine: np.ndarray, params: ModelParams, refine: int = 1
-) -> np.ndarray:
-    """The approximate fBm w^H itself on the grid (kernel exponent h).
-
-    Normalized so that Var[w^H_t] -> (t + eps)^(2H) - eps^(2H) as the
-    quadrature refines; the defining distribution-matching property.
-    """
-    refine = int(refine)
-    if len(dw_fine) != grid.N * refine:
-        raise ValueError("fine increments do not match grid.N * refine")
-    dt_f = grid.dt / refine
-    return kernel_sums(dw_fine, dt_f, params.epsilon, *_kernel(params, 0), stride=refine)
-
-
 def _step_coefficients(params: ModelParams, dt: float) -> tuple[float, float, float]:
     """(a0, sigma_D dt, vol) of the affine output step a0 + sigma_D dt Lambda + vol dw.
 
@@ -244,28 +227,6 @@ def _step_coefficients(params: ModelParams, dt: float) -> tuple[float, float, fl
     return a0, params.sigma_D * dt, vol
 
 
-def output_steps(
-    grid: TimeGrid, dw: np.ndarray, Lambda: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """Per-step increments of the log-output Euler recursion.
-
-    step[n] = (mu_D - H eps^(2h) sigma_D^2) dt + sigma_D dt Lambda[n]
-              + sqrt(2H) eps^h sigma_D dw[n]
-
-    with Lambda evaluated at the left node.  Exposed separately so callers
-    can inspect the one-step affine form; :func:`simulate_output` is its
-    cumulative sum.
-    """
-    if len(dw) != grid.N:
-        raise ValueError(f"expected {grid.N} increments, got {len(dw)}")
-    if len(Lambda) < grid.N:
-        raise ValueError("Lambda must cover every left node of the grid")
-    if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(Lambda[: grid.N]))):
-        raise ValueError("non-finite inputs to the output recursion")
-    a0, sdt, vol = _step_coefficients(params, grid.dt)
-    return a0 + sdt * np.asarray(Lambda)[: grid.N] + vol * np.asarray(dw)
-
-
 def simulate_output(
     grid: TimeGrid,
     dw: np.ndarray,
@@ -275,13 +236,26 @@ def simulate_output(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler path of the log output and the output level.
 
-    Returns (Z, D_hat), each of length N + 1, with Z[0] = ln(D0).  All
-    equilibrium quantities are scale-free in the output, so D0 only shifts
-    the reported level.
+    Returns (Z, D_hat), each of length N + 1, with Z[0] = ln(D0) and Z the
+    cumulative sum of the steps
+
+        Z[n+1] - Z[n] = (mu_D - H eps^(2h) sigma_D^2) dt + sigma_D dt Lambda[n]
+                        + sqrt(2H) eps^h sigma_D dw[n],
+
+    with Lambda evaluated at the left node.  All equilibrium quantities are
+    scale-free in the output, so D0 only shifts the reported level.  The
+    parameters are not validated here: sigma_D = 0 gives the pure drift.
     """
     if not (D0 > 0 and np.isfinite(D0)):
         raise ValueError("initial output level D0 must be positive and finite")
-    steps = output_steps(grid, dw, Lambda, params)
+    if len(dw) != grid.N:
+        raise ValueError(f"expected {grid.N} increments, got {len(dw)}")
+    if len(Lambda) < grid.N:
+        raise ValueError("Lambda must cover every left node of the grid")
+    if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(Lambda[: grid.N]))):
+        raise ValueError("non-finite inputs to the output recursion")
+    a0, sdt, vol = _step_coefficients(params, grid.dt)
+    steps = a0 + sdt * np.asarray(Lambda)[: grid.N] + vol * np.asarray(dw)
     z0 = np.log(D0)
     Z = z0 + np.concatenate(([0.0], np.cumsum(steps)))
     return Z, np.exp(Z)
@@ -320,7 +294,11 @@ def simulate_bundle(
     increments are the fine ones aggregated, so the bundle's Z follows the
     Euler output recursion driven by oracle-quality memory.  refine = 64
     keeps the quadrature error negligible at typical grid steps.
+
+    Raises:
+        ValueError: if the parameters are invalid (see :func:`validate`).
     """
+    validate(params)
     refine = int(refine)
     dw_fine = simulate_brownian(grid.refined(refine), seed)
     lam_big, lam_small = memory_exact(grid, dw_fine, params, refine=refine)

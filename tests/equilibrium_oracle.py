@@ -20,7 +20,6 @@ from fbmecon import (
     EquilibriumResult,
     MarketState,
     ModelParams,
-    RegionCandidates,
     derive_constants,
 )
 
@@ -289,7 +288,15 @@ def _n1_roots(c: _Ctx, n2: float, n3: float) -> list[float]:
     return scan_roots(_fixed_point_g(c, n2, n3))
 
 
-def _candidates(c: _Ctx) -> RegionCandidates:
+@dataclass
+class Candidates:
+    """The four candidate holdings; n[0] is the objective-best fixed-point root."""
+
+    n: tuple[float, float, float, float]
+    available: tuple[bool, bool, bool, bool]
+
+
+def _candidates(c: _Ctx) -> Candidates:
     aC = (1.0 - c.y) / (c.delta_C * c.qC)
     aM = c.y / (c.delta_M * c.qM)
     n2 = aC / (aC + aM)
@@ -308,7 +315,7 @@ def _candidates(c: _Ctx) -> RegionCandidates:
         n1 = best
     n = (n1, n2, n3, 1.0)
     avail = tuple(math.isfinite(v) and 0.0 <= v <= 1.0 for v in n)
-    return RegionCandidates(n=n, available=avail, n1_roots=roots)
+    return Candidates(n=n, available=avail)
 
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import importlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbmecon import BASE_PARAMS
 from fbmecon.cli import entry, main
@@ -170,6 +173,54 @@ def test_estimate_rejects_nonuniform_grid(cfg, tmp_path, capsys):
     rc = main(["--config", str(cfg), "estimate", str(data)])
     assert rc == 1
     assert "non-uniform" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_paths(tmp_path_factory):
+    """Config, bytes of a 16-step simulate output, and a path to corrupt them into."""
+    d = tmp_path_factory.mktemp("corrupt")
+    cfg = write_cfg(d / "small.cfg", extra={"N": 16, "refine": 2})
+    path = d / "paths.csv"
+    assert main(["--config", str(cfg), "--out", str(path), "--seed", "3", "simulate"]) == 0
+    return cfg, path.read_bytes(), d / "corrupt.csv"
+
+
+def estimate_quietly(cfg, path):
+    """Exit code and stderr of ``estimate`` on path, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["--config", str(cfg), "estimate", str(path)])
+    return rc, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_estimate_truncated_csv_fails_cleanly(small_paths, data):
+    cfg, body, path = small_paths
+    path.write_bytes(body[: data.draw(st.integers(0, len(body)), label="cut")])
+    rc, err = estimate_quietly(cfg, path)
+    assert rc in (0, 1), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), column=st.sampled_from(["t", "Z"]),
+       junk=st.text(alphabet="xyz#!?;: ", max_size=6))
+def test_estimate_junk_cell_names_its_line(small_paths, data, column, junk):
+    # no digit and none of the letters of nan/inf, so float() rejects the cell
+    cfg, body, path = small_paths
+    lines = body.decode("utf-8").splitlines()
+    at = lines[0].split(",").index(column)
+    lineno = data.draw(st.integers(2, len(lines)), label="line")
+    cells = lines[lineno - 1].split(",")
+    cells[at] = junk
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc, err = estimate_quietly(cfg, path)
+    assert rc == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f": line {lineno}: malformed row" in errors[0], err
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fbmecon import (
     derive_constants,
     equilibrium,
     partial_policies,
-    region_candidates,
     sweep,
     x_star,
 )
@@ -66,33 +65,27 @@ def test_x_star_properties(n, k, p):
 
 
 def test_candidates_full_protection_degenerates():
-    c = region_candidates(MarketState(0.37, 1.3), replace(BASE_PARAMS, p=1.0))
-    assert c.n[0] == c.n[1]  # fixed point collapses to the closed form exactly
-    assert c.n[2] == 1.0 and c.n[3] == 1.0
-    assert c.n1_roots == [c.n[1]]
+    n = equilibrium(MarketState(0.37, 1.3), replace(BASE_PARAMS, p=1.0)).candidates
+    assert n[0] == n[1]  # fixed point collapses to the closed form exactly
+    assert n[2] == 1.0 and n[3] == 1.0
 
 
 def test_candidates_symmetric_preferences():
     p = replace(BASE_PARAMS, gamma_C=3.0, gamma_M=3.0, alpha_C=0.5, alpha_M=0.5)
-    c = region_candidates(MarketState(0.5), p)
-    assert c.n[1] == 0.5  # identical preferences split the market
+    n = equilibrium(MarketState(0.5), p).candidates
+    assert n[1] == 0.5  # identical preferences split the market
 
 
 def test_candidates_regression_pins():
     # fixed-point roots at the baseline calibration, frozen from the first
     # bisection run (g-residual ~ 3e-13 at the pinned values)
-    c = region_candidates(MarketState(0.5), BASE_PARAMS)
-    assert math.isclose(c.n[0], 0.6249698362252676, rel_tol=0, abs_tol=2e-12)
-    assert math.isclose(c.n[1], 0.6939768385893154, rel_tol=1e-14)
-    assert c.n[2] == 1.0 / (1.0 + 0.4 * 3.0)
-    c9 = region_candidates(MarketState(0.9), BASE_PARAMS)
-    assert math.isclose(c9.n[0], 0.2670761695443652, rel_tol=0, abs_tol=2e-12)
-    assert all(c.available) and all(c9.available)
-
-
-def test_candidates_require_interior_y():
-    with pytest.raises(ValueError):
-        region_candidates(MarketState(0.0), BASE_PARAMS)
+    n = equilibrium(MarketState(0.5), BASE_PARAMS).candidates
+    assert math.isclose(n[0], 0.6249698362252676, rel_tol=0, abs_tol=2e-12)
+    assert math.isclose(n[1], 0.6939768385893154, rel_tol=1e-14)
+    assert n[2] == 1.0 / (1.0 + 0.4 * 3.0)
+    n9 = equilibrium(MarketState(0.9), BASE_PARAMS).candidates
+    assert math.isclose(n9[0], 0.2670761695443652, rel_tol=0, abs_tol=2e-12)
+    assert all(0.0 <= v <= 1.0 for v in n + n9)
 
 
 # ---------------------------------------------------------------------------

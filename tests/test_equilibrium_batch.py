@@ -23,7 +23,6 @@ from fbmecon import (
     MarketState,
     equilibrium,
     equilibrium_batch,
-    region_candidates,
     sweep,
 )
 from fbmecon.equilibrium import _fixed_point_roots
@@ -124,9 +123,9 @@ def test_roots_linear_when_consumption_ratios_coincide():
     assert np.all(np.isnan(roots[1:]))
     # the same degenerate cubic at a state with identical preferences
     symmetric = replace(BASE_PARAMS, gamma_C=3.0, gamma_M=3.0, alpha_C=0.5, alpha_M=0.5)
-    c = region_candidates(MarketState(0.5), symmetric)
+    got = equilibrium(MarketState(0.5), symmetric).candidates[0]
     want = oracle.equilibrium(MarketState(0.5), symmetric).candidates[0]
-    assert len(c.n1_roots) == 1 and abs(c.n[0] - want) <= oracle.BISECT_TOL
+    assert abs(got - want) <= oracle.BISECT_TOL
 
 
 def test_roots_full_protection_is_n2_exactly():
@@ -191,6 +190,32 @@ def test_sweep_overflow_edge_property(ys, ps, Ls):
         assert ("adjustment functions failed" in (row.error or "")) == overflow, row
         if overflow:
             assert row.error == f"adjustment functions failed at Lambda={row.Lambda:g}: math range error"
+
+
+_Y_TEXT = "consumption share y must lie in [0, 1]"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ys=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=3),
+    ps=st.lists(st.one_of(st.floats(-1.0, 2.0), st.just(math.nan), st.floats(0.0, 1.0)),
+                min_size=1, max_size=3),
+    Ls=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=2),
+)
+def test_sweep_invalid_rows_property(ys, ps, Ls):
+    # an invalid p fails its rows with the parameter message, a y outside
+    # [0, 1] its own row with the state message; the sweep always completes
+    rows = sweep(BASE_PARAMS, ys, ps, Ls)
+    assert len(rows) == len(ys) * len(ps) * len(Ls)
+    for row in rows:
+        assert (row.result is None) == (row.error is not None)
+        error = row.error or ""
+        if not 0.0 <= row.p <= 1.0:
+            assert error.startswith("invalid parameters: p must "), row
+        elif not 0.0 <= row.y <= 1.0:
+            assert error.startswith(_Y_TEXT), row
+        else:
+            assert not error.startswith(("invalid parameters", _Y_TEXT)), row
 
 
 @pytest.mark.parametrize("change", [dict(gamma_C=1.0), dict(l_C=0.4, l_M=0.6)])

@@ -14,8 +14,8 @@ from fbmecon import (
     euler_reference,
     kernel_sums,
     memory_exact,
-    output_steps,
     simulate_brownian,
+    simulate_output,
 )
 from fbmecon.paths import _kernel
 
@@ -92,8 +92,10 @@ def test_estimator_input_validation():
     bad[3] = np.inf
     with pytest.raises(ValueError):
         estimate_memory(bad, grid, BASE_PARAMS)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid parameters: sigma_D must be positive"):
         estimate_memory(np.zeros(9), grid, replace(BASE_PARAMS, sigma_D=0.0))
+    with pytest.raises(ValueError, match=r"^invalid parameters: gamma_M must be >= gamma_C"):
+        estimate_memory(np.zeros(9), grid, replace(BASE_PARAMS, gamma_C=3.6))
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +141,27 @@ def test_euler_variance_discrete_sum():
 
 def test_one_step_coefficient_identity():
     # the output step is the affine form a_{n,0} + sum_k a_{n,k+1} dw_{k+1}:
-    # grouped as drift + (sigma_D dt) * kernel sum + vol * dw it is bitwise
-    # identical, and the literal coefficient-matrix evaluation agrees to
-    # rounding (floats cannot reassociate the sum bitwise)
+    # grouped as drift + (sigma_D dt) * kernel sum + vol * dw its cumulative
+    # sum is the output path bitwise, and the literal coefficient-matrix
+    # evaluation agrees to rounding (floats cannot reassociate the sum bitwise)
     params = BASE_PARAMS
     grid = TimeGrid(1.0, 128)
     dw = simulate_brownian(grid, 17)
     h = params.H - 0.5
     root = math.sqrt(2 * params.H)
     lam = kernel_sums(dw, grid.dt, params.epsilon, root * h, h - 1.0)
-    steps = output_steps(grid, dw, lam, params)
+    Z, _ = simulate_output(grid, dw, lam, params)
     a0 = (params.mu_D - params.H * params.epsilon ** (2 * h) * params.sigma_D**2) * grid.dt
     vol = root * params.epsilon**h * params.sigma_D
     factored = a0 + (params.sigma_D * grid.dt) * lam[: grid.N] + vol * dw
-    assert np.array_equal(steps, factored)
+    assert np.array_equal(Z, np.concatenate(([0.0], np.cumsum(factored))))
     # literal a_{n,k} coefficients
     for n in (0, 1, 5, 127):
         t_n = n * grid.dt
         a = root * h * (t_n - np.arange(n) * grid.dt + params.epsilon) ** (h - 1.0) \
             * params.sigma_D * grid.dt
         lit = a0 + float(a @ dw[:n]) + vol * dw[n]
-        assert math.isclose(lit, steps[n], rel_tol=1e-12, abs_tol=1e-18)
+        assert math.isclose(lit, factored[n], rel_tol=1e-12, abs_tol=1e-18)
 
 
 def test_kernel_sign_convention():

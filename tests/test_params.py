@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +19,7 @@ from fbmecon.equilibrium import _adjust, _constants, _Failures
 
 
 def test_base_params_pass_validation():
-    report = validate(BASE_PARAMS)
-    assert report.ok
-    assert report.errors == []
-    assert report.warnings == []
+    assert validate(BASE_PARAMS) == []
 
 
 def test_derived_constants_frozen_examples():
@@ -60,7 +58,7 @@ def test_derive_constants_is_pure():
 def test_derived_invariants_property(gamma_C, bump, alpha_C, alpha_M):
     p = replace(BASE_PARAMS, gamma_C=gamma_C, gamma_M=gamma_C + bump,
                 alpha_C=alpha_C, alpha_M=alpha_M)
-    assert validate(p).ok
+    validate(p)
     d = derive_constants(p)
     assert d.delta_C > 0 and d.delta_M > 0
     assert d.theta_C <= 0 and d.theta_M <= 0
@@ -90,25 +88,22 @@ def test_derived_invariants_property(gamma_C, bump, alpha_C, alpha_M):
     ],
 )
 def test_validation_errors(field, value, fragment):
-    report = validate(replace(BASE_PARAMS, **{field: value}))
-    assert not report.ok
-    assert any(fragment in e for e in report.errors)
+    with pytest.raises(ValueError, match=r"^invalid parameters: .*" + re.escape(fragment)):
+        validate(replace(BASE_PARAMS, **{field: value}))
 
 
 def test_gamma_ordering_enforced():
-    report = validate(replace(BASE_PARAMS, gamma_C=3.6))
-    assert any("gamma_M" in e for e in report.errors)
+    with pytest.raises(ValueError, match=r"^invalid parameters: .*gamma_M must be >= gamma_C"):
+        validate(replace(BASE_PARAMS, gamma_C=3.6))
 
 
 def test_small_epsilon_warns_but_passes():
-    report = validate(replace(BASE_PARAMS, epsilon=1e-5))
-    assert report.ok
-    assert len(report.warnings) == 1
+    assert len(validate(replace(BASE_PARAMS, epsilon=1e-5))) == 1
 
 
 def test_nonfinite_rejected():
-    report = validate(replace(BASE_PARAMS, mu_D=float("nan")))
-    assert not report.ok
+    with pytest.raises(ValueError, match=r"^invalid parameters: mu_D must be a finite real"):
+        validate(replace(BASE_PARAMS, mu_D=float("nan")))
 
 
 # ---------------------------------------------------------------------------

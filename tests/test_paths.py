@@ -7,14 +7,14 @@ import pytest
 from fbmecon import (
     BASE_PARAMS,
     TimeGrid,
-    approx_fbm,
+    kernel_sums,
     memory_exact,
-    output_steps,
     simulate_brownian,
     simulate_bundle,
     simulate_output,
 )
 from fbmecon.csvio import read_t_z_csv, write_path_csv
+from fbmecon.paths import _kernel
 
 
 def closed_form_var_wh(T, eps, H):
@@ -129,7 +129,7 @@ def test_variance_law_every_node(H):
         if first is None:
             first = dws[0].copy()
         w_all[lo:lo + m] = dws @ W.T
-    one = approx_fbm(grid, first, params, refine=R)
+    one = kernel_sums(first, dt_f, params.epsilon, *_kernel(params, 0), stride=R)
     assert np.allclose(w_all[0], one, rtol=1e-12, atol=1e-16)
     for n in range(1, grid.N + 1):
         t = n * grid.dt
@@ -200,9 +200,9 @@ def test_output_reduces_to_gbm_at_half_hurst():
     params = replace(BASE_PARAMS, H=0.5)
     grid = TimeGrid(1.0, 256)
     dw = simulate_brownian(grid, 9)
-    steps = output_steps(grid, dw, np.zeros(grid.N + 1), params)
+    Z, _ = simulate_output(grid, dw, np.zeros(grid.N + 1), params)
     expected = (params.mu_D - 0.5 * params.sigma_D**2) * grid.dt + params.sigma_D * dw
-    assert np.array_equal(steps, expected)
+    assert np.array_equal(Z, np.concatenate(([0.0], np.cumsum(expected))))
 
 
 def test_output_rejects_nonfinite():
@@ -273,6 +273,12 @@ def test_bundle_memoryless():
     grid = TimeGrid(1.0, 64)
     b = simulate_bundle(grid, replace(BASE_PARAMS, H=0.5), seed=12)
     assert np.all(b.Lambda == 0.0) and np.all(b.lambda_small == 0.0)
+
+
+def test_bundle_rejects_invalid_parameters():
+    # gamma_C above gamma_M is outside the model, as for every other entry point
+    with pytest.raises(ValueError, match=r"^invalid parameters: gamma_M must be >= gamma_C"):
+        simulate_bundle(TimeGrid(1.0, 8), replace(BASE_PARAMS, gamma_C=3.6), seed=0, refine=1)
 
 
 def test_path_csv_roundtrip(tmp_path):
