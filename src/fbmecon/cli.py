@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .equilibrium import (
-    EquilibriumError,
-    MarketState,
-    SweepRow,
-    equilibrium,
-    sweep,
-)
+from .equilibrium import MarketState, SweepRow, equilibrium, sweep
 from .estimator import classify_memory, convergence_study, estimate_memory
 from .params import ModelParams, load_config, params_from_config, validate
 from .paths import TimeGrid, simulate_bundle
@@ -38,13 +32,9 @@ from .paths import TimeGrid, simulate_bundle
 __all__ = ["main", "entry"]
 
 
-class CliError(Exception):
-    """Invalid configuration, flags, or input data (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors through the exit-code contract
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _log(msg: str) -> None:
@@ -69,9 +59,9 @@ def _float_list(text: str, key: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"config key {key} is not a comma-separated number list: {text!r}") from None
+        raise ValueError(f"config key {key} is not a comma-separated number list: {text!r}") from None
     if not vals:
-        raise CliError(f"config key {key} is empty")
+        raise ValueError(f"config key {key} is empty")
     return vals
 
 
@@ -88,7 +78,7 @@ class RunConfig:
             try:
                 return cast(raw)
             except (TypeError, ValueError):
-                raise CliError(f"config key {key} is not a number: {raw!r}") from None
+                raise ValueError(f"config key {key} is not a number: {raw!r}") from None
 
         self.T = num("T")
         self.N = num("N", int)
@@ -104,24 +94,24 @@ class RunConfig:
             cfg.get("Lambda_list", _SWEEP_DEFAULTS["Lambda_list"]), "Lambda_list"
         )
         if self.y_step <= 0:
-            raise CliError("y_step must be positive")
+            raise ValueError("y_step must be positive")
         if self.T <= 0 or self.N < 1:
-            raise CliError("grid needs T > 0 and N >= 1")
+            raise ValueError("grid needs T > 0 and N >= 1")
 
     def y_grid(self) -> np.ndarray:
         count = int(np.floor((self.y_stop - self.y_start) / self.y_step + 1e-9)) + 1
         if count < 1:
-            raise CliError("empty y grid")
+            raise ValueError("empty y grid")
         return np.linspace(self.y_start, self.y_start + self.y_step * (count - 1), count)
 
 
 def _load_run_config(args) -> RunConfig:
     if not args.config:
-        raise CliError("--config PATH is required")
+        raise ValueError("--config PATH is required")
     try:
         cfg = load_config(args.config)
     except OSError as exc:
-        raise CliError(f"cannot read config: {exc}") from None
+        raise ValueError(f"cannot read config: {exc}") from None
     rc = RunConfig(cfg)
     if args.seed is not None:
         rc.seed = args.seed
@@ -130,7 +120,7 @@ def _load_run_config(args) -> RunConfig:
 
 def _require_out(args) -> Path:
     if not args.out:
-        raise CliError("--out PATH is required for this command")
+        raise ValueError("--out PATH is required for this command")
     return Path(args.out)
 
 
@@ -151,11 +141,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     rc = _load_run_config(args)
     if not args.input:
-        raise CliError("estimate needs an input CSV with columns t,Z")
+        raise ValueError("estimate needs an input CSV with columns t,Z")
     try:
         grid, Z = csvio.read_t_z_csv(args.input)
     except OSError as exc:
-        raise CliError(f"cannot read input: {exc}") from None
+        raise ValueError(f"cannot read input: {exc}") from None
     _log(f"estimate: {args.input} ({grid.N} steps, dt={grid.dt:g})")
     est = estimate_memory(Z, grid, rc.params)
     if args.out:
@@ -181,15 +171,14 @@ def _print_equilibrium_block(res) -> None:
             print("  candidates:", ", ".join(f"{v:.6g}" for v in res.candidates))
         return
     print(f"region = {res.region}")
-    for name in ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa",
-                 "mu_y", "sigma_y", "mu_H", "sigma_H", "mu_G", "D_over_S"):
+    for name in csvio.RESULT_FIELDS:
         print(f"{name:>8s} = {getattr(res, name):.10g}")
 
 
 def _cmd_equilibrium(args) -> int:
     rc = _load_run_config(args)
     if args.y is None:
-        raise CliError("equilibrium needs --y")
+        raise ValueError("equilibrium needs --y")
     params = rc.params if args.p is None else replace(rc.params, p=args.p)
     state = MarketState(args.y, args.Lambda, args.lam)
     _log(f"equilibrium: y={args.y:g} p={params.p:g} Lambda={args.Lambda:g}")
@@ -364,13 +353,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EquilibriumError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # any other failure is a runtime failure too: one line, no traceback
+    except Exception as exc:  # every other failure is a runtime failure: one line, no traceback
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -1,15 +1,15 @@
 """CSV formats: path bundles, memory estimates, sweeps, convergence tables.
 
 All files are UTF-8, comma-separated, with a mandatory header row and "\\n"
-line endings.  Floats are printed with 17 significant digits so every value
-round-trips losslessly.  Increments (dw, dw_hat) are written on the row of
-their right endpoint, leaving an empty cell at t_0.
+line endings; the last row's line ending is required too, so an input file
+cut inside its last row is rejected.  Floats are printed with 17 significant
+digits so every value round-trips losslessly.  Increments (dw, dw_hat) are
+written on the row of their right endpoint, leaving an empty cell at t_0.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 
@@ -25,14 +25,15 @@ __all__ = [
     "write_convergence_csv",
     "read_t_z_csv",
     "SWEEP_HEADER",
+    "RESULT_FIELDS",
 ]
 
 PATH_HEADER = ["t", "dw", "w", "Lambda", "lambda", "Z", "D_hat"]
 MEMORY_HEADER = ["t", "dw_hat", "Lambda_hat", "lambda_hat"]
-SWEEP_HEADER = [
-    "y", "p", "Lambda", "region", "n_C", "n_M", "x_star", "r", "mu", "sigma",
-    "kappa", "mu_y", "sigma_y", "mu_H", "sigma_H", "mu_G", "D_over_S", "exists",
-]
+#: The fields of a priced equilibrium that a sweep row records, in column order.
+RESULT_FIELDS = ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa", "mu_y", "sigma_y",
+                 "mu_H", "sigma_H", "mu_G", "D_over_S")
+SWEEP_HEADER = ["y", "p", "Lambda", "region", *RESULT_FIELDS, "exists"]
 CONVERGENCE_HEADER = ["dt", "median_err_Lambda", "median_err_lambda"]
 #: Relative tolerance on the spacing of an input time grid, as a fraction of dt.
 _SPACING_RTOL = 1e-9
@@ -88,13 +89,8 @@ def _sweep_record(row: SweepRow) -> list[str]:
     res = row.result
     if res is None or not res.exists:
         # nonexistent (or failed) rows: region 0, price fields empty
-        return base + ["0"] + [""] * 13 + ["0"]
-    region = str(res.region)
-    vals = [
-        res.n_C, res.n_M, res.x_star, res.r, res.mu, res.sigma, res.kappa,
-        res.mu_y, res.sigma_y, res.mu_H, res.sigma_H, res.mu_G, res.D_over_S,
-    ]
-    return base + [region] + [fmt(v) for v in vals] + ["1"]
+        return base + ["0"] + [""] * len(RESULT_FIELDS) + ["0"]
+    return base + [str(res.region)] + [fmt(getattr(res, f)) for f in RESULT_FIELDS] + ["1"]
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
@@ -108,20 +104,30 @@ def write_convergence_csv(path, report) -> None:
     ))
 
 
+def _ended_lines(fh, path):
+    """The lines of ``fh``, read one at a time; a last line without its ending raises."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.endswith(("\n", "\r")):
+            raise ValueError(f"{path}: line {lineno}: last row has no line ending (truncated file?)")
+        yield line
+
+
 def read_t_z_csv(path) -> tuple[TimeGrid, np.ndarray]:
     """Read a time series with columns t and Z (extra columns are ignored).
 
-    The grid must be uniform to within 1e-9 * dt.  Times are taken
-    relative to the first sample, so files need not start at t = 0.
+    The grid must be uniform to within 1e-9 * dt, which rejects a NaN time.
+    Times are taken relative to the first sample, so files need not start
+    at t = 0.  Every row, the last included, must end in a line ending.
 
     Raises:
         ValueError: on a missing header/column, a malformed row (with its
-            1-based line number), too few rows, or non-uniform spacing.
+            1-based line number), a last row without a line ending, too few
+            rows, or non-uniform spacing.
     """
     t: list[float] = []
     z: list[float] = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_ended_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -147,12 +153,10 @@ def read_t_z_csv(path) -> tuple[TimeGrid, np.ndarray]:
         raise ValueError(f"{path}: times must be increasing")
     dt = T / n
     gaps = np.diff(ta)
-    bad = np.nonzero(np.abs(gaps - dt) > _SPACING_RTOL * dt)[0]
+    bad = np.nonzero(~(np.abs(gaps - dt) <= _SPACING_RTOL * dt))[0]
     if bad.size:
         i = int(bad[0])
         raise ValueError(
             f"{path}: non-uniform grid at line {i + 3}: spacing {gaps[i]:.17g} vs dt {dt:.17g}"
         )
-    if math.isnan(dt) or dt <= 0:
-        raise ValueError(f"{path}: invalid grid spacing")
     return TimeGrid(float(T), n), np.asarray(z)

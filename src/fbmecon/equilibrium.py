@@ -93,43 +93,7 @@ def x_star(n_C, k: float, p: float):
 
 
 # ---------------------------------------------------------------------------
-# Per-parameter constants and per-state context
-
-
-@dataclass(frozen=True)
-class _Consts:
-    """Constants of one parameter set, derived and validated once per batch."""
-
-    params: ModelParams
-    d: DerivedParams
-    vol: float  # sqrt(2H) eps^h, the w^H kernel at lag zero
-    lam0: float  # sqrt(2H) h eps^(h-1), the Lambda kernel at lag zero
-    e2h: float  # eps^(2h)
-    hh: float  # H h^2 eps^(2h-2)
-    net_l: float  # 1 - l_C - l_M
-    n3: float  # the kink holding 1 / (1 + (1 - p) k)
-
-
-def _constants(params: ModelParams) -> _Consts:
-    """Validate the parameters and derive every state-independent constant.
-
-    Raises:
-        ValueError: if the parameters are invalid (see :func:`validate`).
-    """
-    validate(params)
-    d = derive_constants(params)
-    eps = params.epsilon
-    (p0, h0), (p1, h1) = _kernel(params, 0), _kernel(params, 1)
-    return _Consts(
-        params=params,
-        d=d,
-        vol=float(p0 * eps**h0),
-        lam0=float(p1 * eps**h1),
-        e2h=eps ** (2.0 * d.h),
-        hh=params.H * d.h * d.h * eps ** (2.0 * d.h - 2.0),
-        net_l=1.0 - params.l_C - params.l_M,
-        n3=1.0 / (1.0 + (1.0 - params.p) * params.k),
-    )
+# Per-batch context
 
 
 class _Failures:
@@ -160,14 +124,19 @@ class _Failures:
 
 @dataclass
 class _Ctx:
-    """Per-state quantities of a batch: one array entry per state."""
+    """One batch: its parameter constants and one array entry per state."""
 
-    m: _Consts
+    P: ModelParams
+    d: DerivedParams
+    vol: float  # sqrt(2H) eps^h, the w^H kernel at lag zero
+    lam0: float  # sqrt(2H) h eps^(h-1), the Lambda kernel at lag zero
+    e2h: float  # eps^(2h)
+    net_l: float  # 1 - l_C - l_M
+    n3: float  # the kink holding 1 / (1 + (1 - p) k)
+    r1: float  # varphi'/varphi = beta
     y: np.ndarray
     Lam: np.ndarray
     lam: np.ndarray
-    r1: float  # varphi'/varphi = beta
-    r2: float  # varphi''/varphi = beta^2
     qC: np.ndarray  # consumption/wealth ratio of C: rho^(1/delta_C) varphi^theta_C
     qM: np.ndarray
     C: np.ndarray  # (1-y)/qC + y/qM, the wealth aggregator
@@ -175,7 +144,6 @@ class _Ctx:
     D_S: np.ndarray
     D_WC: np.ndarray
     S_WC: np.ndarray
-    S_WM: np.ndarray
     cons_M: np.ndarray  # qM - theta_M lam r1 - H h^2 eps^(2h-2) theta_M ((theta_M-1) r1^2 + r2)
     r0: np.ndarray  # the part of the interest rate free of holdings and diversion
     w_C: np.ndarray  # (1-y) + y qC/qM
@@ -184,32 +152,39 @@ class _Ctx:
     a_M: np.ndarray
 
 
-def _adjust(m: _Consts, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndarray, float, float]:
+def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndarray, float, float]:
     """varphi = exp(beta Lambda) per state and its log-derivatives beta, beta^2.
 
     A state whose exponential overflows at a finite memory level fails on
     its own, with the message of the scalar math.exp overflow.
     """
-    beta = m.d.beta
+    beta = d.beta
     varphi = np.exp(beta * Lam)
     fail.flag(np.isfinite(Lam) & np.isinf(varphi),
               lambda i: f"adjustment functions failed at Lambda={Lam[i]:g}: math range error")
     return varphi, beta, beta * beta
 
 
-def _context(m: _Consts, y, Lam, lam) -> tuple[_Ctx, _Failures]:
-    """Per-state context of a batch plus its failure record.
+def _context(params: ModelParams, y, Lam, lam) -> tuple[_Ctx, _Failures]:
+    """Context of a batch under one parameter set, plus its failure record.
 
-    Invalid states (y outside [0, 1], non-finite memory) fail with a
+    The parameters are validated and their constants derived once per
+    batch.  Invalid states (y outside [0, 1], non-finite memory) fail with a
     ValueError; non-finite state quantities fail with an EquilibriumError.
+
+    Raises:
+        ValueError: if the parameters are invalid (see :func:`validate`).
     """
+    validate(params)
+    P, d = params, derive_constants(params)
+    eps = P.epsilon
+    (p0, h0), (p1, h1) = _kernel(P, 0), _kernel(P, 1)
     y, Lam, lam = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, Lam, lam))
     fail = _Failures(y, Lam)
     fail.flag(~((y >= 0.0) & (y <= 1.0)),
               lambda i: f"consumption share y must lie in [0, 1], got {float(y[i])!r}", ValueError)
     fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
-    P, d = m.params, m.d
-    varphi, r1, r2 = _adjust(m, Lam, fail)
+    varphi, r1, r2 = _adjust(d, Lam, fail)
     # powers of varphi, not exp(beta_i Lambda): folding would change the
     # rounding, and a varphi that underflows to 0 (Lambda = -1e4) fails here
     qC = P.rho ** (1.0 / d.delta_C) * varphi**d.theta_C
@@ -221,16 +196,18 @@ def _context(m: _Consts, y, Lam, lam) -> tuple[_Ctx, _Failures]:
               "wealth aggregator", "volatility numerator")
     fail.flag(~finite.all(axis=0),
               lambda i: f"non-finite {labels[int(np.argmin(finite[:, i]))]} at {fail.at(i)}")
-    hh = m.hh
+    hh = P.H * d.h * d.h * eps ** (2.0 * d.h - 2.0)
     cons_C = qC - d.theta_C * lam * r1 - hh * d.theta_C * ((d.theta_C - 1.0) * r1 * r1 + r2)
     cons_M = qM - d.theta_M * lam * r1 - hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r2)
     a1 = 2.0 * P.H * d.h * P.epsilon ** (2.0 * d.h - 1.0) * r1
+    net_l = 1.0 - P.l_C - P.l_M
     c = _Ctx(
-        m=m, y=y, Lam=Lam, lam=lam, r1=r1, r2=r2, qC=qC, qM=qM, C=C, A=A,
-        D_S=m.net_l / C,
-        D_WC=m.net_l * qC / (1.0 - y),
+        P=P, d=d, vol=float(p0 * eps**h0), lam0=float(p1 * eps**h1), e2h=eps ** (2.0 * d.h),
+        net_l=net_l, n3=1.0 / (1.0 + (1.0 - P.p) * P.k), r1=r1,
+        y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,
+        D_S=net_l / C,
+        D_WC=net_l * qC / (1.0 - y),
         S_WC=C * qC / (1.0 - y),
-        S_WM=C * qM / y,
         cons_M=cons_M,
         r0=(P.mu_D + P.sigma_D * Lam - P.l_C * qC - P.l_M * qM
             + (1.0 - y) * cons_C + y * cons_M),
@@ -248,63 +225,61 @@ def _context(m: _Consts, y, Lam, lam) -> tuple[_Ctx, _Failures]:
 
 
 def _rate(c: _Ctx, n_C, x, kappa, sigma):
-    m = c.m
-    vk = m.vol * kappa
-    cost = 0.5 * m.params.k * x * x
+    vk = c.vol * kappa
+    cost = 0.5 * c.P.k * x * x
     return (
         c.r0
         - sigma * (n_C * (vk + c.a_C) * c.w_C + (1.0 - n_C) * (vk + c.a_M) * c.w_M)
-        - m.net_l * ((x - cost) * c.qC + cost * c.qM)
+        - c.net_l * ((x - cost) * c.qC + cost * c.qM)
     )
 
 
 def _mu(c: _Ctx, r, sigma, kappa, x):
-    return r - sigma * c.Lam + c.m.vol * kappa * sigma - (1.0 - x) * c.D_S
+    return r - sigma * c.Lam + c.vol * kappa * sigma - (1.0 - x) * c.D_S
 
 
 def _sigma_y(c: _Ctx, kappa):
-    P, d = c.m.params, c.m.d
-    return c.y * (kappa / (c.m.vol * d.delta_M) + d.theta_M * (d.h / P.epsilon) * c.r1 - P.sigma_D)
+    P, d = c.P, c.d
+    return c.y * (kappa / (c.vol * d.delta_M) + d.theta_M * (d.h / P.epsilon) * c.r1 - P.sigma_D)
 
 
 def _mu_y(c: _Ctx, x, kappa, r, sigma_y):
-    m, P, d = c.m, c.m.params, c.m.d
-    k1 = m.lam0 * d.theta_M
+    P, d = c.P, c.d
+    k1 = c.lam0 * d.theta_M
     bracket = r - P.mu_D - P.sigma_D * c.Lam + kappa * (kappa + k1 * c.r1) / d.delta_M - c.cons_M
     return (
-        -sigma_y * (c.Lam + 2.0 * P.H * m.e2h * P.sigma_D)
+        -sigma_y * (c.Lam + 2.0 * P.H * c.e2h * P.sigma_D)
         + P.l_M * c.qM
-        + 0.5 * P.k * x * x * m.net_l * c.qM
+        + 0.5 * P.k * x * x * c.net_l * c.qM
         + c.y * bracket
     )
 
 
 def _J(c: _Ctx, n, x, r, mu, sigma):
     """Controlling shareholder's objective at holding n and diversion x."""
-    P = c.m.params
+    P = c.P
     return (
         n * c.S_WC * (mu - r + (1.0 - x) * c.D_S + sigma * c.Lam)
         + x * c.D_WC
         - 0.5 * P.k * x * x * c.D_WC
-        - P.H * c.m.e2h * c.m.d.delta_C * (c.S_WC * sigma) ** 2 * n * n
+        - P.H * c.e2h * c.d.delta_C * (c.S_WC * sigma) ** 2 * n * n
     )
 
 
 def _prices(c: _Ctx, n_C):
     """(x, sigma, kappa, r, mu) under the prices generated by holding n_C."""
-    m = c.m
-    x = x_star(n_C, m.params.k, m.params.p)
+    x = x_star(n_C, c.P.k, c.P.p)
     B = n_C * c.qC + (1.0 - n_C) * c.qM
     sigma = c.A / (B * c.C)
-    kappa = m.vol * m.d.delta_M * c.qM * (1.0 - n_C) * c.A / (c.y * B)
+    kappa = c.vol * c.d.delta_M * c.qM * (1.0 - n_C) * c.A / (c.y * B)
     r = _rate(c, n_C, x, kappa, sigma)
     return x, sigma, kappa, r, _mu(c, r, sigma, kappa, x)
 
 
 def _n2(c: _Ctx):
     """Closed-form Region-2 holding (the full-protection benchmark holding)."""
-    aC = (1.0 - c.y) / (c.m.d.delta_C * c.qC)
-    aM = c.y / (c.m.d.delta_M * c.qM)
+    aC = (1.0 - c.y) / (c.d.delta_C * c.qC)
+    aM = c.y / (c.d.delta_M * c.qM)
     return aC / (aC + aM)
 
 
@@ -358,25 +333,25 @@ def _candidates(c: _Ctx, fail: _Failures, live):
     (the smallest such root on ties).  ``live`` masks the interior states
     whose failures are recorded.
     """
-    m, P, d = c.m, c.m.params, c.m.d
+    P, d = c.P, c.d
     n2 = _n2(c)
-    G = (1.0 - P.p) * m.net_l * c.y / (2.0 * P.H * m.e2h * d.delta_M * c.qM * c.A * c.A)
+    G = (1.0 - P.p) * c.net_l * c.y / (2.0 * P.H * c.e2h * d.delta_M * c.qM * c.A * c.A)
     a = np.where(c.A == 0.0, 0.0, n2 * G)  # at p = 1 the fixed point is n2 for any A
     if P.p < 1.0:
         fail.flag(live & (c.A == 0.0),
                   "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
                   "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")
     g0 = n2 + a * c.qM * c.qM
-    g1 = n2 - 1.0 + a * (1.0 - 1.0 / m.n3) * c.qC * c.qC
+    g1 = n2 - 1.0 + a * (1.0 - 1.0 / c.n3) * c.qC * c.qC
     fail.flag(live & ~((g0 >= 0.0) & (g1 <= 0.0)),
               lambda i: f"bracket guarantee failed: g(0)={g0[i]:g}, g(1)={g1[i]:g} "
                         "(expected g(0) >= 0 >= g(1))")
-    roots = _fixed_point_roots(n2, m.n3, a, c.qM, c.qC - c.qM)
+    roots = _fixed_point_roots(n2, c.n3, a, c.qM, c.qC - c.qM)
     fail.flag(live & np.isnan(roots[0]),
               "no Region-1 fixed point found on [0, 1] despite the bracket guarantee")
 
     ones = np.ones_like(n2)
-    cols = np.concatenate([roots, [n2, m.n3 * ones, ones]])
+    cols = np.concatenate([roots, [n2, c.n3 * ones, ones]])
     # [holding, x, sigma, kappa, r, mu] of the three roots and three closed forms
     table = np.array([cols, *_prices(c, cols)])
     finite = np.isfinite(table[2:])
@@ -416,7 +391,7 @@ def _select(c: _Ctx, n, prices, live):
     consistent = avail & finite.any(axis=1) & (diag >= top)
     j = consistent.argmax(axis=0)
     code = np.where(consistent.any(axis=0), j + 1, _NONEXISTENT)
-    if c.m.params.p == 1.0:
+    if c.P.p == 1.0:
         code = np.where(code == 1, 2, code)
     return np.where(live, code, _NONEXISTENT), j, T, avail
 
@@ -483,7 +458,7 @@ def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa,
     # adds back the undiverted dividend yield
     mu_H = mu + sigma * c.Lam
     priced = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y,
-                       mu_H, c.m.vol * sigma, mu_H + (1.0 - x) * c.D_S, c.D_S])
+                       mu_H, c.vol * sigma, mu_H + (1.0 - x) * c.D_S, c.D_S])
     finite = np.isfinite(priced)
     fail.flag(exists & ~finite.all(axis=0), lambda i: (
         f"non-finite {(*_PRICE_FIELDS, 'D_over_S')[int(np.argmin(finite[:, i]))]} at {fail.at(i)}"))
@@ -495,7 +470,7 @@ def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa,
         tables = np.moveaxis(tables, -1, 0)[:count].tolist()
         cands = cands.T[:count].tolist()
         avail = avail.T[:count].tolist()
-    p = c.m.params.p
+    p = c.P.p
     results: list = []
     for s in range(count):
         if fail.err[s] is not None:
@@ -514,7 +489,7 @@ def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa,
 
 
 @np.errstate(all="ignore")
-def _solve(m: _Consts, y, Lam, lam, branch_hint: int | None = None) -> list:
+def _solve(params: ModelParams, y, Lam, lam, branch_hint: int | None = None) -> list:
     """Equilibria of the states (y, Lam, lam): one result or error per state.
 
     A y = 0 state with p < 1 takes its branch from the region of the interior
@@ -522,12 +497,13 @@ def _solve(m: _Consts, y, Lam, lam, branch_hint: int | None = None) -> list:
     ``branch_hint`` names the region.
     """
     count = len(y)
-    probed = np.flatnonzero((y == 0.0) & (m.params.p < 1.0) & (branch_hint is None))
+    # p != 1 rather than p < 1: the parameters are validated by _context below
+    probed = np.flatnonzero((y == 0.0) & (params.p != 1.0) & (branch_hint is None))
     if len(probed):
         y = np.concatenate([y, np.full(len(probed), _PROBE_Y)])
         Lam = np.concatenate([Lam, Lam[probed]])
         lam = np.concatenate([lam, lam[probed]])
-    c, fail = _context(m, y, Lam, lam)
+    c, fail = _context(params, y, Lam, lam)
     interior = (y > 0.0) & (y < 1.0)
     live = interior & fail.ok()
     n, prices = _candidates(c, fail, live)
@@ -537,7 +513,7 @@ def _solve(m: _Consts, y, Lam, lam, branch_hint: int | None = None) -> list:
 
     # boundary states: explicit limits, the y = 0 Sharpe ratio on one of two branches
     at0 = y == 0.0
-    zero_branch = at0 & (m.params.p < 1.0) & (branch_hint == 4)
+    zero_branch = at0 & (c.P.p < 1.0) & (branch_hint == 4)
     for k, s in enumerate(probed.tolist()):
         q = count + k
         if fail.err[q] is not None:
@@ -546,9 +522,8 @@ def _solve(m: _Consts, y, Lam, lam, branch_hint: int | None = None) -> list:
             fail.put(s, EquilibriumError(
                 f"cannot infer the y=0 branch: no interior equilibrium at y={_PROBE_Y:g}"))
         zero_branch[s] = code[q] == 4
-    d = m.d
-    kappa_b = np.where(at0, np.where(zero_branch, 0.0, m.vol * d.delta_C * c.A),
-                       m.vol * d.delta_M * c.A)
+    kappa_b = np.where(at0, np.where(zero_branch, 0.0, c.vol * c.d.delta_C * c.A),
+                       c.vol * c.d.delta_M * c.A)
     boundary = ~interior
     code = np.where(boundary, _BOUNDARY, code)
     return _finish(
@@ -582,9 +557,8 @@ def equilibrium_batch(y, Lambda, lam, params: ModelParams) -> list[EquilibriumRe
     Raises:
         ValueError: if the parameters are invalid (see :func:`validate`).
     """
-    m = _constants(params)
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, Lambda, lam)))
-    return _solve(m, *(np.ravel(v) for v in arrays))
+    return _solve(params, *(np.ravel(v) for v in arrays))
 
 
 def equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
@@ -621,8 +595,7 @@ def benchmark_equilibrium(state: MarketState, params: ModelParams) -> Equilibriu
     """
     if not 0.0 < state.y < 1.0:
         raise ValueError("benchmark equilibrium requires y strictly inside (0, 1)")
-    m = _constants(replace(params, p=1.0))
-    c, fail = _context(m, state.y, state.Lambda, state.lambda_small)
+    c, fail = _context(replace(params, p=1.0), state.y, state.Lambda, state.lambda_small)
     n_B = _n2(c)
     x, sigma, kappa, _, _ = _prices(c, n_B)
     return _raise_if_failed(_finish(c, fail, 1, np.full(1, 2), n_B, x, sigma, kappa)[0])
@@ -643,9 +616,8 @@ def boundary_equilibrium(
         raise ValueError("boundary equilibrium requires y exactly 0 or 1")
     if branch_hint is not None and branch_hint not in (1, 2, 3, 4):
         raise ValueError(f"branch_hint must be a region in 1..4, got {branch_hint!r}")
-    m = _constants(params)
     arrays = (np.array([v]) for v in (state.y, state.Lambda, state.lambda_small))
-    return _raise_if_failed(_solve(m, *arrays, branch_hint=branch_hint)[0])
+    return _raise_if_failed(_solve(params, *arrays, branch_hint=branch_hint)[0])
 
 
 @np.errstate(all="ignore")
@@ -661,14 +633,13 @@ def benchmark_differences(
     n_C - n_C^B; they are a cross-check of the two independent solves, not a
     third solver.  Region-2 states give exactly zero.
     """
-    m = _constants(params)
-    c, _ = _context(m, state.y, state.Lambda, state.lambda_small)
+    c, _ = _context(params, state.y, state.Lambda, state.lambda_small)
     dn = eq.n_C - bench.n_C
     B_eq = eq.n_C * c.qC + (1.0 - eq.n_C) * c.qM
-    mix = (1.0 - c.y) / m.d.delta_C + c.y / m.d.delta_M
+    mix = (1.0 - c.y) / c.d.delta_C + c.y / c.d.delta_M
     d_sigma = bench.sigma * (c.qM - c.qC) * dn / B_eq
-    d_kappa = -m.vol * c.qC * c.A * dn / (mix * B_eq * bench.n_M)
-    d_sigma_y = -c.y * c.qC * c.A * dn / (m.d.delta_M * mix * B_eq * bench.n_M)
+    d_kappa = -c.vol * c.qC * c.A * dn / (mix * B_eq * bench.n_M)
+    d_sigma_y = -c.y * c.qC * c.A * dn / (c.d.delta_M * mix * B_eq * bench.n_M)
     return float(d_sigma[0]), float(d_kappa[0]), float(d_sigma_y[0])
 
 
@@ -722,26 +693,24 @@ def partial_policies(prices: Prices, state: MarketState, params: ModelParams) ->
         raise ValueError("partial policies need sigma != 0")
     if min(prices.D_over_S, prices.D_over_WC, prices.S_over_WC, prices.S_over_WM) <= 0.0:
         raise ValueError("price ratios must be positive")
-    m = _constants(params)
-    P = m.params
-    c, _ = _context(m, state.y, state.Lambda, state.lambda_small)
+    c, _ = _context(params, state.y, state.Lambda, state.lambda_small)
+    P = c.P
     # the objective uses the handed ratios, not the state-implied ones
-    c = replace(c, D_S=prices.D_over_S, D_WC=prices.D_over_WC, S_WC=prices.S_over_WC,
-                S_WM=prices.S_over_WM)
+    c = replace(c, D_S=prices.D_over_S, D_WC=prices.D_over_WC, S_WC=prices.S_over_WC)
 
     excess = prices.mu - prices.r + prices.sigma * state.Lambda
-    den0 = 2.0 * P.H * m.e2h * m.d.delta_C * prices.S_over_WC * prices.sigma**2
+    den0 = 2.0 * P.H * c.e2h * c.d.delta_C * prices.S_over_WC * prices.sigma**2
     den = np.array([den0 + (2.0 * (1.0 - P.p) + P.k * (1.0 - P.p) ** 2) * prices.D_over_S,
                     den0 - prices.D_over_S / P.k])
     num = np.array([excess + (2.0 - P.p) * prices.D_over_S,
                     excess + (1.0 - 1.0 / P.k) * prices.D_over_S])
-    n = np.concatenate([np.where(den != 0.0, num / den, np.nan), [m.n3, 1.0]])[:, None]
+    n = np.concatenate([np.where(den != 0.0, num / den, np.nan), [c.n3, 1.0]])[:, None]
     avail = np.isfinite(n) & (n >= 0.0) & (n <= 1.0)  # the kink and full ownership always are
     x = x_star(n, P.k, P.p)
     J = np.where(avail, _J(c, n, x, prices.r, prices.mu, prices.sigma), np.nan)
     best = int(np.argmax(np.where(avail, J, -np.inf)[:, 0]))
     n_M = (excess + (1.0 - x[best, 0]) * prices.D_over_S) / (
-        2.0 * P.H * m.e2h * m.d.delta_M * prices.S_over_WM * prices.sigma**2
+        2.0 * P.H * c.e2h * c.d.delta_M * prices.S_over_WM * prices.sigma**2
     )
     return PartialPolicies(
         c_coeff_C=float(c.qC[0]),

@@ -22,8 +22,8 @@ column is the power series 1 / a(x) of the first column a, found by
 Newton's iteration (Brent & Kung 1978).  Applying it and summing the
 kernels are causal FFT convolutions, so the recovery costs O(N log N) up to
 the convolution's blocking and agrees with the sequential recursion to
-rounding.  Lambda_hat and lambda_hat are :func:`~fbmecon.paths.kernel_sums`
-over the recovered increments.
+rounding.  Lambda_hat and lambda_hat are :func:`~fbmecon.paths.memory_exact`
+of the recovered increments.
 
 The sup-norm error of the scheme against the exact memory decays pathwise
 like dt^(1/6 - e) for every e > 0, with a path-dependent constant; the decay
@@ -44,7 +44,6 @@ from .paths import (
     _causal_convolve,
     _kernel,
     _step_coefficients,
-    kernel_sums,
     memory_exact,
     simulate_brownian,
     simulate_output,
@@ -126,8 +125,7 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
         a[0] = vol
         a[1:] = sdt * _LagWeights(grid.N - 1, dt, params.epsilon, *lam_kernel)[:]
         dw_hat = _causal_convolve(_series_inverse(a), b)
-    lam_big = kernel_sums(dw_hat, dt, params.epsilon, *lam_kernel)
-    lam_small = kernel_sums(dw_hat, dt, params.epsilon, *_kernel(params, 2))
+    lam_big, lam_small = memory_exact(grid, dw_hat, params)
     return MemoryEstimate(grid=grid, dw_hat=dw_hat, Lambda_hat=lam_big, lambda_hat=lam_small)
 
 

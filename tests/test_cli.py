@@ -175,6 +175,19 @@ def test_estimate_rejects_nonuniform_grid(cfg, tmp_path, capsys):
     assert "non-uniform" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_estimate_rejects_nan_time(cfg, tmp_path, capsys, at):
+    times = ["0", "0.001", "0.002"]
+    times[at] = "nan"
+    data = tmp_path / "times.csv"
+    data.write_text("t,Z\n" + "".join(f"{t},{0.1 * i}\n" for i, t in enumerate(times)),
+                    encoding="utf-8")
+    rc = main(["--config", str(cfg), "estimate", str(data)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "non-uniform grid at line 3: spacing" in err and "nan" in err
+
+
 @pytest.fixture(scope="module")
 def small_paths(tmp_path_factory):
     """Config, bytes of a 16-step simulate output, and a path to corrupt them into."""
@@ -197,10 +210,13 @@ def estimate_quietly(cfg, path):
 @given(data=st.data())
 def test_estimate_truncated_csv_fails_cleanly(small_paths, data):
     cfg, body, path = small_paths
-    path.write_bytes(body[: data.draw(st.integers(0, len(body)), label="cut")])
+    cut = body[: data.draw(st.integers(0, len(body)), label="cut")]
+    path.write_bytes(cut)
     rc, err = estimate_quietly(cfg, path)
     assert rc in (0, 1), err
     assert "Traceback" not in err
+    if not cut.endswith(b"\n"):  # cut inside a row: its shorter cells may still parse
+        assert rc == 1, err
 
 
 @settings(max_examples=60, deadline=None)

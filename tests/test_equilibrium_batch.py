@@ -218,10 +218,10 @@ def test_sweep_invalid_rows_property(ys, ps, Ls):
             assert not error.startswith(("invalid parameters", _Y_TEXT)), row
 
 
-@pytest.mark.parametrize("change", [dict(gamma_C=1.0), dict(l_C=0.4, l_M=0.6)])
+@pytest.mark.parametrize("change", [dict(gamma_C=1.0), dict(l_C=0.4, l_M=0.6), dict(p="0.5")])
 def test_invalid_parameters_rejected(change):
     bad = replace(BASE_PARAMS, **change)
     with pytest.raises(ValueError, match="invalid parameters"):
         equilibrium(MarketState(0.5), bad)
     with pytest.raises(ValueError, match="invalid parameters"):
-        equilibrium_batch([0.2, 0.5], 0.0, 0.0, bad)
+        equilibrium_batch([0.0, 0.5], 0.0, 0.0, bad)  # y = 0 makes the solver read p

@@ -15,7 +15,7 @@ from fbmecon import (
     params_from_config,
     validate,
 )
-from fbmecon.equilibrium import _adjust, _constants, _Failures
+from fbmecon.equilibrium import _adjust, _Failures
 
 
 def test_base_params_pass_validation():
@@ -115,7 +115,7 @@ def adjust(beta, *levels):
     """(varphi, varphi'/varphi, varphi''/varphi) and each level's failure."""
     Lam = np.array(levels, dtype=float)
     fail = _Failures(np.full(len(Lam), 0.5), Lam)
-    varphi, r1, r2 = _adjust(_constants(replace(BASE_PARAMS, beta1=beta)), Lam, fail)
+    varphi, r1, r2 = _adjust(derive_constants(replace(BASE_PARAMS, beta1=beta)), Lam, fail)
     return varphi, r1, r2, fail.err
 
 
