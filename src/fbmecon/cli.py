@@ -248,8 +248,8 @@ def _write_figures(fig_dir: Path, rows, rc: RunConfig) -> None:
                 cols.append((f"{panel}={pv:g};{series}={sv:g}", key))
         name = f"fig{fig:02d}_{_FIGURE_SLUGS[field]}_by_{'memory' if series == 'Lambda' else 'protection'}.csv"
         csvio._write_table(fig_dir / name, ["y"] + [c for c, _ in cols], (
-            [csvio.fmt(y)] + [_figure_cell(cells.get((key, y)), field) for _, key in cols]
-            for y in ys
+            ",".join([csvio.fmt(y)] + [_figure_cell(cells.get((key, y)), field) for _, key in cols])
+            + "\n" for y in ys
         ))
         manifest.append(
             {

@@ -3,13 +3,16 @@
 All files are UTF-8, comma-separated, with a mandatory header row and "\\n"
 line endings; the last row's line ending is required too, so an input file
 cut inside its last row is rejected.  Floats are printed with 17 significant
-digits so every value round-trips losslessly.  Increments (dw, dw_hat) are
-written on the row of their right endpoint, leaving an empty cell at t_0.
+digits so every value round-trips losslessly, node tables a block of rows at
+a time with the bytes of a cell-by-cell writer.  Increments (dw, dw_hat) sit
+on the row of their right endpoint, leaving an empty cell at t_0.  The t,Z
+reader parses with numpy and accepts exactly what its per-row parser does.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -44,44 +47,35 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-_BLOCK = 4096  # node rows converted to Python floats at a time
+_BLOCK = 4096  # node rows formatted at a time
 
 
-def _write_table(path, header: list[str], rows) -> None:
-    """Write the header and then each row, an iterable of ready cells.
-
-    Cells hold no comma, quote or newline, so they are written unquoted.
-    """
+def _write_table(path, header: list[str], blocks) -> None:
+    """Write the header line, then each block of row text; no cell needs quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(blocks)
 
 
-def _node_rows(grid: TimeGrid, increments: np.ndarray, *levels: np.ndarray):
-    """Rows t, increment, levels... for each node, the increment empty at t_0.
-
-    Columns are converted a block of rows at a time, never whole.
-    """
+def _node_blocks(grid: TimeGrid, increments: np.ndarray, *levels: np.ndarray):
+    """Rows t, increment, levels... per node (no increment at t_0), one ``%`` per block."""
     t = grid.nodes()
-    for lo in range(0, grid.N + 1, _BLOCK):
+    yield ("%.17g," + ",%.17g" * len(levels) + "\n") % tuple(float(c[0]) for c in (t, *levels))
+    row = "%.17g" + ",%.17g" * (len(levels) + 1) + "\n"
+    for lo in range(1, grid.N + 1, _BLOCK):
         hi = min(lo + _BLOCK, grid.N + 1)
-        inc = [fmt(x) for x in increments[max(lo - 1, 0):hi - 1].tolist()]
-        if lo == 0:
-            inc.insert(0, "")
-        cols = [[fmt(x) for x in col[lo:hi].tolist()] for col in (t, *levels)]
-        yield from zip(cols[0], inc, *cols[1:])
+        block = np.column_stack((t[lo:hi], increments[lo - 1:hi - 1], *(c[lo:hi] for c in levels)))
+        yield (row * (hi - lo)) % tuple(block.ravel().tolist())
 
 
 def write_path_csv(path, bundle: PathBundle) -> None:
     """One row per node; the increment column is empty at t_0."""
-    _write_table(path, PATH_HEADER, _node_rows(
-        bundle.grid, bundle.dw, bundle.w, bundle.Lambda, bundle.lambda_small, bundle.Z,
-        bundle.D_hat))
+    _write_table(path, PATH_HEADER, _node_blocks(bundle.grid, bundle.dw, bundle.w, bundle.Lambda,
+                                                 bundle.lambda_small, bundle.Z, bundle.D_hat))
 
 
 def write_memory_csv(path, est: MemoryEstimate) -> None:
-    _write_table(path, MEMORY_HEADER, _node_rows(
-        est.grid, est.dw_hat, est.Lambda_hat, est.lambda_hat))
+    _write_table(path, MEMORY_HEADER, _node_blocks(est.grid, est.dw_hat, est.Lambda_hat, est.lambda_hat))
 
 
 def _sweep_record(row: SweepRow) -> list[str]:
@@ -94,14 +88,13 @@ def _sweep_record(row: SweepRow) -> list[str]:
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    _write_table(path, SWEEP_HEADER, map(_sweep_record, rows))
+    _write_table(path, SWEEP_HEADER, (",".join(r) + "\n" for r in map(_sweep_record, rows)))
 
 
 def write_convergence_csv(path, report) -> None:
     _write_table(path, CONVERGENCE_HEADER, (
-        [fmt(dt), fmt(eL), fmt(el)]
-        for dt, eL, el in zip(report.dt_values, report.median_err_Lambda, report.median_err_lambda)
-    ))
+        ",".join(map(fmt, cells)) + "\n"
+        for cells in zip(report.dt_values, report.median_err_Lambda, report.median_err_lambda)))
 
 
 def _ended_lines(fh, path):
@@ -112,20 +105,40 @@ def _ended_lines(fh, path):
         yield line
 
 
+def _numpy_columns(path, it: int, iz: int) -> np.ndarray:
+    """Columns it and iz after the header, as (2, n), by numpy's C parser.
+
+    Raises ValueError or UserWarning on any file numpy rejects or the per-row
+    parser might read otherwise: a last row with no line ending, a quote (csv
+    cells may hold commas), NUL (refused by csv before Python 3.11), \\x1c-\\x1f
+    (whitespace to numpy, not to float()) or h bytes with no separator.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    h = max(1, csv.field_size_limit() // 2)  # a field over csv's limit spans h bytes
+    if (data[-1:] not in (b"\n", b"\r") or any(b in data for b in b'"\0\x1c\x1d\x1e\x1f')
+            or any(data.find(b",", i, i + h) < 0 and data.find(b"\n", i, i + h) < 0
+                   for i in range(0, len(data), h))):
+        raise ValueError(f"{path}: left to the per-row parser")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a file with no rows warns
+        return np.loadtxt(path, delimiter=",", skiprows=1, usecols=(it, iz), comments=None,
+                          ndmin=2, encoding="utf-8").T.copy()
+
+
 def read_t_z_csv(path) -> tuple[TimeGrid, np.ndarray]:
     """Read a time series with columns t and Z (extra columns are ignored).
 
     The grid must be uniform to within 1e-9 * dt, which rejects a NaN time.
     Times are taken relative to the first sample, so files need not start
-    at t = 0.  Every row, the last included, must end in a line ending.
+    at t = 0.  Every row, the last included, must end in a line ending.  A file
+    numpy's C parser rejects or might read otherwise goes to the per-row one.
 
     Raises:
         ValueError: on a missing header/column, a malformed row (with its
             1-based line number), a last row without a line ending, too few
             rows, or non-uniform spacing.
     """
-    t: list[float] = []
-    z: list[float] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(_ended_lines(fh, path))
         try:
@@ -136,14 +149,18 @@ def read_t_z_csv(path) -> tuple[TimeGrid, np.ndarray]:
         if "t" not in cols or "Z" not in cols:
             raise ValueError(f"{path}: header must contain 't' and 'Z' columns, got {header}")
         it, iz = cols.index("t"), cols.index("Z")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or all(not cell.strip() for cell in rec):
-                continue
-            try:
-                t.append(float(rec[it]))
-                z.append(float(rec[iz]))
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}: line {lineno}: malformed row {rec!r}") from None
+        try:
+            t, z = _numpy_columns(path, it, iz)
+        except (ValueError, UserWarning):
+            t, z = [], []
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec or all(not cell.strip() for cell in rec):
+                    continue
+                try:
+                    t.append(float(rec[it]))
+                    z.append(float(rec[iz]))
+                except (IndexError, ValueError):
+                    raise ValueError(f"{path}: line {lineno}: malformed row {rec!r}") from None
     if len(t) < 2:
         raise ValueError(f"{path}: need at least two samples, got {len(t)}")
     ta = np.asarray(t)

@@ -1,19 +1,26 @@
-"""The per-row ``csv.writer`` table writers csvio replaced, kept as a test oracle.
+"""The per-row csv table writers and reader csvio replaced, kept as test oracles.
 
-Each writes one ``csv.writer`` row per table row, formatting cell by cell
-from the numpy arrays.  The package's block writer must produce the same
-bytes.
+Each writer writes one ``csv.writer`` row per table row, formatting cell by
+cell from the numpy arrays; the package's block writers must produce the
+same bytes.  ``read_t_z_csv`` parses every record with ``csv.reader`` and
+``float()``; the package's reader must accept the same files, return the
+same grid and bit-identical Z, and raise the same messages.
 """
 
 from __future__ import annotations
 
 import csv
 
+import numpy as np
+
+from fbmecon import TimeGrid
 from fbmecon.csvio import (
     CONVERGENCE_HEADER,
     MEMORY_HEADER,
     PATH_HEADER,
     SWEEP_HEADER,
+    _SPACING_RTOL,
+    _ended_lines,
     _sweep_record,
     fmt,
 )
@@ -68,3 +75,42 @@ def write_convergence_csv(path, report) -> None:
         w.writerow(CONVERGENCE_HEADER)
         for dt, eL, el in zip(report.dt_values, report.median_err_Lambda, report.median_err_lambda):
             w.writerow([fmt(dt), fmt(eL), fmt(el)])
+
+
+def read_t_z_csv(path):
+    t: list[float] = []
+    z: list[float] = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(_ended_lines(fh, path))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        cols = [c.strip() for c in header]
+        if "t" not in cols or "Z" not in cols:
+            raise ValueError(f"{path}: header must contain 't' and 'Z' columns, got {header}")
+        it, iz = cols.index("t"), cols.index("Z")
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec or all(not cell.strip() for cell in rec):
+                continue
+            try:
+                t.append(float(rec[it]))
+                z.append(float(rec[iz]))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: line {lineno}: malformed row {rec!r}") from None
+    if len(t) < 2:
+        raise ValueError(f"{path}: need at least two samples, got {len(t)}")
+    ta = np.asarray(t)
+    n = len(ta) - 1
+    T = ta[-1] - ta[0]
+    if T <= 0:
+        raise ValueError(f"{path}: times must be increasing")
+    dt = T / n
+    gaps = np.diff(ta)
+    bad = np.nonzero(~(np.abs(gaps - dt) <= _SPACING_RTOL * dt))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{path}: non-uniform grid at line {i + 3}: spacing {gaps[i]:.17g} vs dt {dt:.17g}"
+        )
+    return TimeGrid(float(T), n), np.asarray(z)

@@ -295,6 +295,63 @@ def test_equilibrium_validates_flags(cfg, capsys):
 
 
 # ---------------------------------------------------------------------------
+# any generated configuration
+
+# junk, non-finite and out-of-range values for any key
+ODD = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "-1e-300", "abc", "", "1,2"])
+
+
+def mostly(valid, odd=ODD):
+    """``valid`` about four times in five, else ``odd``."""
+    return st.sampled_from([False] * 4 + [True]).flatmap(lambda k: odd if k else valid)
+
+
+def near(base):
+    """A value within 10% of ``base``, else a wild or an odd one."""
+    return mostly(st.floats(0.9, 1.1).map(lambda f: repr(base * f)),
+                  st.one_of(st.floats(-10, 10).map(repr), ODD))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["simulate", "estimate", "equilibrium"]))
+def test_cli_never_exits_with_a_traceback(small_paths, data, command):
+    cfg, body, path = small_paths
+    vals = {n: data.draw(near(getattr(BASE_PARAMS, n)), label=n)
+            for n in data.draw(st.sets(st.sampled_from(PARAM_NAMES), max_size=3), label="keys")}
+    # grid sizes capped so that no draw allocates much: N <= 2^12, refine <= 8
+    vals["N"] = data.draw(mostly(st.integers(1, 2**12).map(str)), label="N")
+    vals["refine"] = data.draw(mostly(st.integers(1, 8).map(str)), label="refine")
+    vals["T"] = data.draw(near(1.0), label="T")
+    vals["D0"] = data.draw(near(1.0), label="D0")
+    vals["seed"] = data.draw(mostly(st.integers(0, 2**64).map(str)), label="seed")
+    cfg_path = path.parent / "generated.cfg"
+    cfg_path.write_text(
+        "".join(f"{k} = {v}\n" for k, v in {**{n: repr(getattr(BASE_PARAMS, n))
+                                              for n in PARAM_NAMES}, **vals}.items()),
+        encoding="utf-8")
+    argv = ["--config", str(cfg_path), "--out", str(path.parent / "generated.csv"), command]
+    if command == "estimate":
+        path.write_bytes(body)
+        argv += [str(path)] + (["--summary"] if data.draw(st.booleans()) else [])
+    elif command == "equilibrium":
+        for flag, lo, hi in (("--y", 0, 1), ("--p", 0, 1), ("--Lambda", -60, 60), ("--lambda", -5, 5)):
+            if flag == "--y" or data.draw(st.booleans()):
+                argv.append(f"{flag}=" + data.draw(mostly(st.floats(lo, hi).map(repr), st.one_of(
+                    ODD, st.sampled_from(["1e4", "-1e4", "700", "1e-9", "-0.5", "1.5"]))), label=flag))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error:")]
+    assert rc in (0, 1, 2)
+    assert not any("Traceback" in line for line in lines)
+    if rc == 0:
+        assert not errors, lines
+    else:
+        assert len(errors) == 1 and lines[-1] == errors[0], lines
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 

@@ -135,6 +135,15 @@ def test_roots_full_protection_is_n2_exactly():
     assert np.all(np.isnan(roots[1:]))
 
 
+def test_root_rounded_past_the_edge_is_kept():
+    # g(0) = 1 > 0 >= g(1) = -5e-42, yet eigvals puts the root near 1 at
+    # 1 + 2.2e-16; it must be kept and clipped, not reported as missing
+    params = replace(BASE_PARAMS, p=0, k=0.5, beta1=2)
+    res = equilibrium_batch(0.001, 53.0, 0.0, params)[0]
+    assert isinstance(res, EquilibriumResult), res
+    assert res.region == "nonexistent" and res.candidates[0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Failures stay with their state; invalid parameters are rejected
 
