@@ -16,7 +16,6 @@ one line per stage.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .equilibrium import MarketState, SweepRow, equilibrium, sweep
+from .equilibrium import MarketState, _first, _price_grid
 from .estimator import classify_memory, convergence_study, estimate_memory
 from .params import ModelParams, load_config, params_from_config, validate
 from .paths import TimeGrid, simulate_bundle
@@ -182,109 +181,30 @@ def _cmd_equilibrium(args) -> int:
     params = rc.params if args.p is None else replace(rc.params, p=args.p)
     state = MarketState(args.y, args.Lambda, args.lam)
     _log(f"equilibrium: y={args.y:g} p={params.p:g} Lambda={args.Lambda:g}")
-    res = equilibrium(state, params)
+    grid = _price_grid(params, [state.y], [params.p], [state.Lambda], state.lambda_small)
+    res = _first(grid.batches[0])
     if args.out:
-        csvio.write_sweep_csv(Path(args.out), [SweepRow(state.y, params.p, state.Lambda, res)])
+        csvio.write_sweep_csv(Path(args.out), grid)
         _log(f"equilibrium: wrote {args.out}")
     _print_equilibrium_block(res)
     return 0
-
-
-_FIGURES = {
-    3: ("n_C", "Lambda", "p"),
-    4: ("n_C", "p", "Lambda"),
-    5: ("x_star", "Lambda", "p"),
-    6: ("x_star", "p", "Lambda"),
-    7: ("sigma_H", "Lambda", "p"),
-    8: ("sigma_H", "p", "Lambda"),
-    9: ("mu_H", "Lambda", "p"),
-    10: ("mu_H", "p", "Lambda"),
-    11: ("mu_G", "Lambda", "p"),
-    12: ("mu_G", "p", "Lambda"),
-    13: ("r", "Lambda", "p"),
-    14: ("r", "p", "Lambda"),
-}
-_FIGURE_SLUGS = {
-    "n_C": "holdings",
-    "x_star": "diversion",
-    "sigma_H": "modified_volatility",
-    "mu_H": "modified_return",
-    "mu_G": "gross_return",
-    "r": "interest_rate",
-}
-
-
-def _figure_cell(row, field: str) -> str:
-    """The field of an existing equilibrium, or an empty cell."""
-    if row is not None and row.result is not None and row.result.exists:
-        return csvio.fmt(getattr(row.result, field))
-    return ""
-
-
-def _write_figures(fig_dir: Path, rows, rc: RunConfig) -> None:
-    """One CSV per figure id, wide format: y plus one column per line.
-
-    Panel order follows the gallery layout: Lambda panels (0, -5, 5) and
-    protection panels (1, 0.9, 0.6).
-    """
-    fig_dir.mkdir(parents=True, exist_ok=True)
-    cells = {}  # ((p, Lambda), y) -> the first row at that grid point
-    for row in rows:
-        cells.setdefault(((row.p, row.Lambda), row.y), row)
-    ys = sorted({row.y for row in rows})
-    panel_orders = {"Lambda": [0.0, -5.0, 5.0], "p": [1.0, 0.9, 0.6]}
-    lam_vals = [v for v in panel_orders["Lambda"] if v in rc.Lambda_list]
-    p_vals = [v for v in panel_orders["p"] if v in rc.p_list]
-    lam_vals += [v for v in rc.Lambda_list if v not in lam_vals]
-    p_vals += [v for v in rc.p_list if v not in p_vals]
-    manifest = []
-    for fig, (field, panel, series) in sorted(_FIGURES.items()):
-        panels = lam_vals if panel == "Lambda" else p_vals
-        serieses = p_vals if series == "p" else lam_vals
-        cols = []
-        for pv in panels:
-            for sv in serieses:
-                key = (pv, sv) if panel == "p" else (sv, pv)
-                cols.append((f"{panel}={pv:g};{series}={sv:g}", key))
-        name = f"fig{fig:02d}_{_FIGURE_SLUGS[field]}_by_{'memory' if series == 'Lambda' else 'protection'}.csv"
-        csvio._write_table(fig_dir / name, ["y"] + [c for c, _ in cols], (
-            ",".join([csvio.fmt(y)] + [_figure_cell(cells.get((key, y)), field) for _, key in cols])
-            + "\n" for y in ys
-        ))
-        manifest.append(
-            {
-                "figure": fig,
-                "file": name,
-                "quantity": field,
-                "x_axis": "y",
-                "panel_variable": panel,
-                "series_variable": series,
-                "columns": {c: {"panel": k[0] if panel == "p" else k[1],
-                                "series": k[1] if panel == "p" else k[0]}
-                            for c, k in cols},
-            }
-        )
-    with open(fig_dir / "figures_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cmd_sweep(args) -> int:
     rc = _load_run_config(args)
     out = _require_out(args)
     ys = rc.y_grid()
-    _log(
-        f"sweep: {len(ys)} x {len(rc.p_list)} x {len(rc.Lambda_list)} states "
-        f"(y, p, Lambda), lambda={rc.lam:g}"
-    )
-    rows = sweep(rc.params, ys, rc.p_list, rc.Lambda_list, lam=rc.lam)
-    failures = [r for r in rows if r.error]
-    for r in failures:
-        _log(f"sweep: row (y={r.y:g}, p={r.p:g}, Lambda={r.Lambda:g}) failed: {r.error}")
-    csvio.write_sweep_csv(out, rows)
-    _log(f"sweep: wrote {out} ({len(rows)} rows, {len(failures)} failures)")
+    rows = len(ys) * len(rc.p_list) * len(rc.Lambda_list)
+    _log(f"sweep: {len(ys)} x {len(rc.p_list)} x {len(rc.Lambda_list)} states "
+         f"(y, p, Lambda), lambda={rc.lam:g}")
+    grid = _price_grid(rc.params, ys, rc.p_list, rc.Lambda_list, lam=rc.lam)
+    failures = [row for row in grid.in_order([b.err for b in grid.batches]) if row[3] is not None]
+    for y, p, L, exc in failures:
+        _log(f"sweep: row (y={y:g}, p={p:g}, Lambda={L:g}) failed: {exc}")
+    tails = csvio.write_sweep_csv(out, grid)
+    _log(f"sweep: wrote {out} ({rows} rows, {len(failures)} failures)")
     if args.figures:
-        _write_figures(Path(args.figures), rows, rc)
+        csvio.write_figures(Path(args.figures), grid, tails)
         _log(f"sweep: wrote figure files to {args.figures}")
     return 0
 

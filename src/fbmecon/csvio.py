@@ -1,41 +1,34 @@
-"""CSV formats: path bundles, memory estimates, sweeps, convergence tables.
+"""CSV formats: path bundles, memory estimates, sweeps, figures, convergence tables.
 
 All files are UTF-8, comma-separated, with a mandatory header row and "\\n"
 line endings; the last row's line ending is required too, so an input file
 cut inside its last row is rejected.  Floats are printed with 17 significant
-digits so every value round-trips losslessly, node tables a block of rows at
-a time with the bytes of a cell-by-cell writer.  Increments (dw, dw_hat) sit
-on the row of their right endpoint, leaving an empty cell at t_0.  The t,Z
-reader parses with numpy and accepts exactly what its per-row parser does.
+digits so every value round-trips losslessly, node tables and sweep rows a
+block at a time with the bytes of a cell-by-cell writer.  Increments (dw,
+dw_hat) sit on the row of their right endpoint, leaving an empty cell at t_0.
+The sweep writer formats the columns of the solver's per-p batches, and the
+figure writer pivots the cells it formatted, so a figure cell is the sweep
+CSV's own cell.  The t,Z reader parses with numpy and accepts exactly what
+its per-row parser does.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 
 import numpy as np
 
-from .equilibrium import SweepRow
+from .equilibrium import RESULT_FIELDS
 from .estimator import MemoryEstimate
 from .paths import PathBundle, TimeGrid
 
-__all__ = [
-    "fmt",
-    "write_path_csv",
-    "write_memory_csv",
-    "write_sweep_csv",
-    "write_convergence_csv",
-    "read_t_z_csv",
-    "SWEEP_HEADER",
-    "RESULT_FIELDS",
-]
+__all__ = ["fmt", "write_path_csv", "write_memory_csv", "write_sweep_csv", "write_figures",
+           "write_convergence_csv", "read_t_z_csv", "SWEEP_HEADER", "RESULT_FIELDS"]
 
 PATH_HEADER = ["t", "dw", "w", "Lambda", "lambda", "Z", "D_hat"]
 MEMORY_HEADER = ["t", "dw_hat", "Lambda_hat", "lambda_hat"]
-#: The fields of a priced equilibrium that a sweep row records, in column order.
-RESULT_FIELDS = ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa", "mu_y", "sigma_y",
-                 "mu_H", "sigma_H", "mu_G", "D_over_S")
 SWEEP_HEADER = ["y", "p", "Lambda", "region", *RESULT_FIELDS, "exists"]
 CONVERGENCE_HEADER = ["dt", "median_err_Lambda", "median_err_lambda"]
 #: Relative tolerance on the spacing of an input time grid, as a fraction of dt.
@@ -78,17 +71,75 @@ def write_memory_csv(path, est: MemoryEstimate) -> None:
     _write_table(path, MEMORY_HEADER, _node_blocks(est.grid, est.dw_hat, est.Lambda_hat, est.lambda_hat))
 
 
-def _sweep_record(row: SweepRow) -> list[str]:
-    base = [fmt(row.y), fmt(row.p), fmt(row.Lambda)]
-    res = row.result
-    if res is None or not res.exists:
-        # nonexistent (or failed) rows: region 0, price fields empty
-        return base + ["0"] + [""] * len(RESULT_FIELDS) + ["0"]
-    return base + [str(res.region)] + [fmt(getattr(res, f)) for f in RESULT_FIELDS] + ["1"]
+# indexed by region code (0 none, 1-4, 5 boundary), the format of a sweep row's
+# cells after y, p and Lambda: region, the RESULT_FIELDS and exists, with empty
+# fields where no equilibrium exists
+_ROW_FORMATS = ("0" + "," * (len(RESULT_FIELDS) + 1) + "0",
+                *(f"{region},{'%.17g,' * len(RESULT_FIELDS)}1"
+                  for region in ("1", "2", "3", "4", "boundary")))
 
 
-def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    _write_table(path, SWEEP_HEADER, (",".join(r) + "\n" for r in map(_sweep_record, rows)))
+def _row_tails(batch) -> list[str]:
+    """Per state of a batch, its sweep-row cells after y, p and Lambda, as text;
+    one ``%`` formats a block of _BLOCK states."""
+    tails = []
+    for lo in range(0, len(batch.code), _BLOCK):
+        code = batch.code[lo:lo + _BLOCK]
+        values = batch.fields[:len(RESULT_FIELDS), lo:lo + _BLOCK][:, code != 0].T.ravel().tolist()
+        text = "\n".join([_ROW_FORMATS[c] for c in code.tolist()]) % tuple(values)
+        tails += text.split("\n")
+    return tails
+
+
+def write_sweep_csv(path, grid) -> list:
+    """The sweep CSV of a priced grid, rows in (y, p, Lambda) order; returns
+    each p's row tails (see :func:`_row_tails`) for :func:`write_figures`."""
+    tails = [_row_tails(b) for b in grid.batches]
+    labels = [[fmt(v) for v in vals] for vals in (grid.y, grid.p, grid.Lam)]
+    _write_table(path, SWEEP_HEADER, (f"{y},{p},{L},{tail}\n"
+                                      for y, p, L, tail in grid.in_order(tails, labels)))
+    return tails
+
+
+# the plotted quantities in gallery order, with their file-name slugs: figure
+# 3 + 2m draws quantity m in Lambda panels, one line per p, and 4 + 2m the reverse
+_FIGURE_SLUGS = {"n_C": "holdings", "x_star": "diversion", "sigma_H": "modified_volatility",
+                 "mu_H": "modified_return", "mu_G": "gross_return", "r": "interest_rate"}
+
+
+def write_figures(fig_dir, grid, tails) -> None:
+    """One wide CSV per figure id in the Path ``fig_dir``: y, then one column per line.
+
+    ``tails`` are the row tails :func:`write_sweep_csv` returned for
+    ``grid``; a figure cell is the sweep CSV's cell of the first row at its
+    grid point, byte for byte.  Panel order follows the gallery layout:
+    Lambda panels (0, -5, 5) and protection panels (1, 0.9, 0.6).
+    """
+    fig_dir.mkdir(parents=True, exist_ok=True)
+    cells = [[tail.split(",") for tail in per_p] for per_p in tails]
+    first = {}  # y -> the index of its first row
+    for i, y in enumerate(grid.y):
+        first.setdefault(y, i)
+    rows = [(fmt(y), first[y] * len(grid.Lam)) for y in sorted(first)]
+    vals = {}
+    for var, listed, order in (("Lambda", grid.Lam, [0.0, -5.0, 5.0]), ("p", grid.p, [1.0, 0.9, 0.6])):
+        vals[var] = [v for v in order if v in listed]
+        vals[var] += [v for v in listed if v not in vals[var]]
+    manifest = []
+    for m, (field, slug) in enumerate(_FIGURE_SLUGS.items()):
+        f = 1 + RESULT_FIELDS.index(field)  # after the region cell
+        for fig, panel, series in ((3 + 2 * m, "Lambda", "p"), (4 + 2 * m, "p", "Lambda")):
+            cols = [(f"{panel}={pv:g};{series}={sv:g}", {panel: pv, series: sv})
+                    for pv in vals[panel] for sv in vals[series]]
+            at = [(cells[grid.p.index(v["p"])], grid.Lam.index(v["Lambda"])) for _, v in cols]
+            name = f"fig{fig:02d}_{slug}_by_{'memory' if series == 'Lambda' else 'protection'}.csv"
+            _write_table(fig_dir / name, ["y"] + [c for c, _ in cols], (
+                ",".join([y, *[states[i + j][f] for states, j in at]]) + "\n" for y, i in rows))
+            manifest.append({"figure": fig, "file": name, "quantity": field, "x_axis": "y",
+                             "panel_variable": panel, "series_variable": series,
+                             "columns": {c: {"panel": v[panel], "series": v[series]} for c, v in cols}})
+    with open(fig_dir / "figures_manifest.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def write_convergence_csv(path, report) -> None:
@@ -170,7 +221,8 @@ def read_t_z_csv(path) -> tuple[TimeGrid, np.ndarray]:
         raise ValueError(f"{path}: times must be increasing")
     dt = T / n
     gaps = np.diff(ta)
-    bad = np.nonzero(~(np.abs(gaps - dt) <= _SPACING_RTOL * dt))[0]
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite last time is a bad gap
+        bad = np.nonzero(~(np.abs(gaps - dt) <= _SPACING_RTOL * dt))[0]
     if bad.size:
         i = int(bad[0])
         raise ValueError(

@@ -45,22 +45,10 @@ import numpy as np
 from .params import DerivedParams, ModelParams, derive_constants, validate
 from .paths import _kernel
 
-__all__ = [
-    "MarketState",
-    "EquilibriumResult",
-    "Prices",
-    "PartialPolicies",
-    "SweepRow",
-    "EquilibriumError",
-    "x_star",
-    "equilibrium",
-    "equilibrium_batch",
-    "benchmark_equilibrium",
-    "boundary_equilibrium",
-    "benchmark_differences",
-    "partial_policies",
-    "sweep",
-]
+__all__ = ["MarketState", "EquilibriumResult", "Prices", "PartialPolicies", "SweepRow",
+           "EquilibriumError", "x_star", "equilibrium", "equilibrium_batch",
+           "benchmark_equilibrium", "boundary_equilibrium", "benchmark_differences",
+           "partial_policies", "sweep"]
 
 #: Consumption share of the interior state whose region picks the y = 0 branch.
 _PROBE_Y = 1e-4
@@ -438,20 +426,38 @@ class EquilibriumResult:
     candidates: tuple[float, float, float, float] | None = None
 
 
-_PRICE_FIELDS = ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa", "mu_y", "sigma_y",
-                 "mu_H", "sigma_H", "mu_G")
-_STATE_FIELDS = ("D_over_S", "D_over_WC", "S_over_WC", "c_coeff_C", "c_coeff_M")
+#: The fields of a priced equilibrium that a sweep row records, in column order.
+RESULT_FIELDS = ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa", "mu_y", "sigma_y",
+                 "mu_H", "sigma_H", "mu_G", "D_over_S")
+#: The float fields of an EquilibriumResult: the RESULT_FIELDS, then the other state ratios.
+_FIELDS = RESULT_FIELDS + ("D_over_WC", "S_over_WC", "c_coeff_C", "c_coeff_M")
+_REGION_NAMES = {_NONEXISTENT: "nonexistent", _BOUNDARY: "boundary"}
+
+
+@dataclass
+class _Batch:
+    """The equilibria of one batch as arrays, one column per state: the rows
+    y, Lambda, lambda; the region codes (_NONEXISTENT also for a failed state);
+    the _FIELDS rows, the first 12 NaN where the code is _NONEXISTENT; each
+    state's error or None; and, if the batch ran the region tests, their
+    objective tables (region, candidate, state), candidates and availability."""
+
+    p: float
+    states: np.ndarray
+    code: np.ndarray
+    fields: np.ndarray
+    err: list
+    tests: tuple | None = None
 
 
 def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa,
-            tables=None, cands=None, avail=None) -> list:
-    """Price the selected holdings and build the first ``count`` states' results.
+            tests=None) -> _Batch:
+    """Price the selected holdings into the batch of the first ``count`` states.
 
     Boundary and interior states share the rate, drift and derived-quantity
-    formulas; sigma_y is zero at the boundary.  A state that failed, or
-    whose existing equilibrium has a non-finite field, yields its error.
+    formulas; sigma_y is zero at the boundary.  A state whose existing
+    equilibrium has a non-finite field fails.
     """
-    exists = code != _NONEXISTENT
     r = _rate(c, n_C, x, kappa, sigma)
     mu = _mu(c, r, sigma, kappa, x)
     sigma_y = np.where(code == _BOUNDARY, 0.0, _sigma_y(c, kappa))
@@ -463,37 +469,40 @@ def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa,
     priced = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y,
                        mu_H, c.vol * sigma, mu_H + (1.0 - x) * c.D_S, c.D_S])
     finite = np.isfinite(priced)
-    fail.flag(exists & ~finite.all(axis=0), lambda i: (
-        f"non-finite {(*_PRICE_FIELDS, 'D_over_S')[int(np.argmin(finite[:, i]))]} at {fail.at(i)}"))
-    cols = np.where(exists, priced[:-1], np.nan)[:, :count].tolist()
-    cols += np.array([c.D_S, c.D_WC, c.S_WC, c.qC, c.qM])[:, :count].tolist()
-    names = _PRICE_FIELDS + _STATE_FIELDS
-    ys, Ls, ls, codes = (v[:count].tolist() for v in (c.y, c.Lam, c.lam, code))
-    if tables is not None:
-        tables = np.moveaxis(tables, -1, 0)[:count].tolist()
-        cands = cands.T[:count].tolist()
-        avail = avail.T[:count].tolist()
-    p = c.P.p
+    fail.flag((code != _NONEXISTENT) & ~finite.all(axis=0), lambda i: (
+        f"non-finite {RESULT_FIELDS[int(np.argmin(finite[:, i]))]} at {fail.at(i)}"))
+    code = np.where(fail.ok(), code, _NONEXISTENT)
+    fields = np.concatenate([np.where(code != _NONEXISTENT, priced[:-1], np.nan),
+                             [c.D_S, c.D_WC, c.S_WC, c.qC, c.qM]])
+    tests = None if tests is None else tuple(a[..., :count] for a in tests)
+    return _Batch(c.P.p, np.array([c.y, c.Lam, c.lam])[:, :count], code[:count],
+                  fields[:, :count], fail.err[:count], tests)
+
+
+def _results(b: _Batch) -> list:
+    """The public result of each state of a batch: its EquilibriumResult or error."""
+    values = b.fields.T.tolist()
+    if b.tests is not None:  # per state: its tables, candidates and availability
+        tables, cands, avail = (a.transpose(-1, *range(a.ndim - 1)).tolist() for a in b.tests)
     results: list = []
-    for s in range(count):
-        if fail.err[s] is not None:
-            results.append(fail.err[s])
+    for s, ((y, L, l), code) in enumerate(zip(b.states.T.tolist(), b.code.tolist())):
+        if b.err[s] is not None:
+            results.append(b.err[s])
             continue
-        kw = {name: col[s] for name, col in zip(names, cols)}
-        if codes[s] != _BOUNDARY and tables is not None:
+        kw = dict(zip(_FIELDS, values[s]))
+        if code != _BOUNDARY and b.tests is not None:
             kw["J_tables"] = {j + 1: tuple(row) for j, row in enumerate(tables[s]) if avail[s][j]}
             kw["candidates"] = tuple(cands[s])
-        region = {_NONEXISTENT: "nonexistent", _BOUNDARY: "boundary"}.get(codes[s], codes[s])
         results.append(EquilibriumResult(
-            state=MarketState(ys[s], Ls[s], ls[s]), p=p, region=region,
-            exists=codes[s] != _NONEXISTENT, **kw,
+            state=MarketState(y, L, l), p=b.p, region=_REGION_NAMES.get(code, code),
+            exists=code != _NONEXISTENT, **kw,
         ))
     return results
 
 
 @np.errstate(all="ignore")
-def _solve(params: ModelParams, y, Lam, lam, branch_hint: int | None = None) -> list:
-    """Equilibria of the states (y, Lam, lam): one result or error per state.
+def _solve(params: ModelParams, y, Lam, lam, branch_hint: int | None = None) -> _Batch:
+    """Equilibria of the states (y, Lam, lam), as one batch.
 
     A y = 0 state with p < 1 takes its branch from the region of the interior
     state at y = _PROBE_Y (same memory levels), which joins the batch, unless
@@ -535,11 +544,13 @@ def _solve(params: ModelParams, y, Lam, lam, branch_hint: int | None = None) -> 
         x=np.where(boundary, 0.0, x),
         sigma=np.where(boundary, c.A, sigma),
         kappa=np.where(boundary, kappa_b, kappa),
-        tables=tables, cands=n, avail=avail,
+        tests=(tables, n, avail),
     )
 
 
-def _raise_if_failed(res):
+def _first(batch: _Batch) -> EquilibriumResult:
+    """The result of the first state of a batch; its error is raised."""
+    res = _results(batch)[0]
     if isinstance(res, Exception):
         raise res
     return res
@@ -561,7 +572,7 @@ def equilibrium_batch(y, Lambda, lam, params: ModelParams) -> list[EquilibriumRe
         ValueError: if the parameters are invalid (see :func:`validate`).
     """
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, Lambda, lam)))
-    return _solve(params, *(np.ravel(v) for v in arrays))
+    return _results(_solve(params, *(np.ravel(v) for v in arrays)))
 
 
 def equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
@@ -584,9 +595,8 @@ def equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
         ValueError: if the parameters are invalid.
         EquilibriumError: if the solve fails at this state.
     """
-    return _raise_if_failed(
-        equilibrium_batch(state.y, state.Lambda, state.lambda_small, params)[0]
-    )
+    arrays = (np.array([v], dtype=float) for v in (state.y, state.Lambda, state.lambda_small))
+    return _first(_solve(params, *arrays))
 
 
 @np.errstate(all="ignore")
@@ -601,7 +611,7 @@ def benchmark_equilibrium(state: MarketState, params: ModelParams) -> Equilibriu
     c, fail = _context(replace(params, p=1.0), state.y, state.Lambda, state.lambda_small)
     n_B = _n2(c)
     x, sigma, kappa, _, _ = _prices(c, n_B)
-    return _raise_if_failed(_finish(c, fail, 1, np.full(1, 2), n_B, x, sigma, kappa)[0])
+    return _first(_finish(c, fail, 1, np.full(1, 2), n_B, x, sigma, kappa))
 
 
 def boundary_equilibrium(
@@ -620,7 +630,7 @@ def boundary_equilibrium(
     if branch_hint is not None and branch_hint not in (1, 2, 3, 4):
         raise ValueError(f"branch_hint must be a region in 1..4, got {branch_hint!r}")
     arrays = (np.array([v]) for v in (state.y, state.Lambda, state.lambda_small))
-    return _raise_if_failed(_solve(params, *arrays, branch_hint=branch_hint)[0])
+    return _first(_solve(params, *arrays, branch_hint=branch_hint))
 
 
 @np.errstate(all="ignore")
@@ -742,6 +752,41 @@ class SweepRow:
     error: str | None = None
 
 
+@dataclass
+class _Grid:
+    """A priced (y, p, Lambda) grid: per p, the batch of its (y, Lambda) states."""
+
+    y: list[float]
+    p: list[float]
+    Lam: list[float]
+    batches: list[_Batch]
+
+    def in_order(self, per_p, labels=None):
+        """(y, p, Lambda, per_p[k][s]) of every row: y outermost, then p, then
+        Lambda; ``labels`` stand in for the three value lists (their text, say)."""
+        ys, ps, Ls = labels or (self.y, self.p, self.Lam)
+        for i, y in enumerate(ys):
+            for p, items in zip(ps, per_p):
+                for j, L in enumerate(Ls):
+                    yield y, p, L, items[i * len(Ls) + j]
+
+
+def _price_grid(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0.0) -> _Grid:
+    """One :func:`_solve` batch per p over the (y, Lambda) cross product; every
+    state of a p whose parameters are invalid fails with their ValueError."""
+    g = _Grid(*([float(v) for v in vals] for vals in (y_values, p_values, Lambda_values)), [])
+    y, Lam = np.repeat(g.y, len(g.Lam)), np.tile(g.Lam, len(g.y))
+    nan = np.full((len(_FIELDS), len(y)), np.nan)
+    for p in g.p:
+        try:
+            lams = np.full(len(y), np.asarray(lam, dtype=float))
+            g.batches.append(_solve(replace(params, p=p), y, Lam, lams))
+        except ValueError as exc:
+            g.batches.append(_Batch(p, np.array([y, Lam, nan[0]]), np.zeros(len(y), int), nan,
+                                    [exc] * len(y)))
+    return g
+
+
 def sweep(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0.0) -> list[SweepRow]:
     """Cross-product sweep over (y, p, Lambda) with per-row failure capture.
 
@@ -750,23 +795,6 @@ def sweep(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0
     one :func:`equilibrium_batch`; a row that fails, or every row of a p
     whose parameters are invalid, records its error and the sweep goes on.
     """
-    ys = [float(v) for v in y_values]
-    ps = [float(v) for v in p_values]
-    Ls = [float(v) for v in Lambda_values]
-    y_grid, L_grid = np.repeat(ys, len(Ls)), np.tile(Ls, len(ys))
-    by_p = []
-    for p in ps:
-        try:
-            by_p.append(equilibrium_batch(y_grid, L_grid, lam, replace(params, p=p)))
-        except ValueError as exc:
-            by_p.append([exc] * len(y_grid))
-    rows: list[SweepRow] = []
-    for i, y in enumerate(ys):
-        for res_p, p in zip(by_p, ps):
-            for l, L in enumerate(Ls):
-                res = res_p[i * len(Ls) + l]
-                if isinstance(res, Exception):
-                    rows.append(SweepRow(y, p, L, None, error=str(res)))
-                else:
-                    rows.append(SweepRow(y, p, L, res))
-    return rows
+    g = _price_grid(params, y_values, p_values, Lambda_values, lam)
+    return [SweepRow(y, p, L, None, error=str(res)) if isinstance(res, Exception) else
+            SweepRow(y, p, L, res) for y, p, L, res in g.in_order([_results(b) for b in g.batches])]

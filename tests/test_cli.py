@@ -188,6 +188,16 @@ def test_estimate_rejects_nan_time(cfg, tmp_path, capsys, at):
     assert "non-uniform grid at line 3: spacing" in err and "nan" in err
 
 
+def test_estimate_infinite_last_time_prints_one_line(cfg, tmp_path):
+    # inf - inf in the spacing test must not leak a numpy warning to stderr
+    data = tmp_path / "times.csv"
+    data.write_text("t,Z\n0,1\n1,2\ninf,3\n", encoding="utf-8")
+    proc = run_module("fbmecon", "--config", str(cfg), "estimate", str(data))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error: {data}: non-uniform grid at line 4: spacing inf vs dt inf"], proc.stderr
+
+
 @pytest.fixture(scope="module")
 def small_paths(tmp_path_factory):
     """Config, bytes of a 16-step simulate output, and a path to corrupt them into."""

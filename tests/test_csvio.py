@@ -1,7 +1,10 @@
 """The block table writers and the t,Z reader against the per-row csv oracles."""
 
+import contextlib
 import csv
-from dataclasses import replace
+import importlib
+import io
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -11,15 +14,19 @@ from hypothesis import given, settings, strategies as st
 import csv_oracle
 from fbmecon import (
     BASE_PARAMS,
+    MarketState,
     MemoryEstimate,
     PathBundle,
+    SweepRow,
     TimeGrid,
     convergence_study,
+    equilibrium,
     estimate_memory,
     simulate_bundle,
     sweep,
 )
-from fbmecon import csvio
+from fbmecon import cli, csvio
+from fbmecon.cli import RunConfig, main
 from fbmecon.csvio import (
     _BLOCK,
     read_t_z_csv,
@@ -28,7 +35,12 @@ from fbmecon.csvio import (
     write_path_csv,
     write_sweep_csv,
 )
+from fbmecon.equilibrium import _price_grid
+from fbmecon.params import load_config
 from test_equilibrium import NOEQ  # the worked scenario with no equilibrium
+
+# the package re-exports the function equilibrium under the module's name
+equilibrium_module = importlib.import_module("fbmecon.equilibrium")
 
 
 def same_bytes(tmp_path, write, oracle, obj) -> bool:
@@ -75,14 +87,101 @@ def test_memoryless_csv_matches_oracle(tmp_path):
     assert same_bytes(tmp_path, write_memory_csv, csv_oracle.write_memory_csv, est)
 
 
-def test_sweep_csv_matches_oracle(tmp_path):
-    # boundary rows at y in {0, 1}, failed rows at |Lambda| = 1e4, and
-    # nonexistent rows from the worked scenario
-    rows = sweep(BASE_PARAMS, [0.0, 0.5, 1.0], [1.0, 0.6], [-5.0, 0.0, 1e4, -1e4])
-    rows += sweep(NOEQ, [0.5], [0.5], [0.0])
-    kinds = {r.result.region if r.result is not None else "failed" for r in rows}
-    assert {"boundary", "nonexistent", "failed"} <= kinds
-    assert same_bytes(tmp_path, write_sweep_csv, csv_oracle.write_sweep_csv, rows)
+# Sweep grids with every kind of row: boundary rows at y in {0, 1}, failed rows
+# at |Lambda| = 1e4, nonexistent rows (the NOEQ scenario at its p = 0.5), a p
+# that fails validate (2), duplicates and -0.0 in both lists, and both lists
+# in orders other than the gallery panel orders (0, -5, 5) and (1, 0.9, 0.6)
+SWEEP_GRID = {"y_start": 0.0, "y_stop": 1.0, "y_step": 0.25,
+              "p_list": "0.5,2,0.6,1,-0.0,0.6,0.9", "Lambda_list": "5,-0.0,1e4,0,-1e4,5,-5"}
+
+
+@pytest.fixture(scope="module")
+def sweep_cases(tmp_path_factory):
+    """Per calibration, a config over SWEEP_GRID, its RunConfig and the oracle's
+    ``sweep()`` rows."""
+    cases = []
+    for params, lam in ((BASE_PARAMS, 0.0), (NOEQ, 0.2)):
+        cfg = tmp_path_factory.mktemp("sweep") / "sweep.cfg"
+        cfg.write_text("".join(f"{f.name} = {getattr(params, f.name)!r}\n" for f in fields(params))
+                       + "".join(f"{k} = {v}\n" for k, v in {**SWEEP_GRID, "lambda": lam}.items()),
+                       encoding="utf-8")
+        rc = RunConfig(load_config(cfg))
+        rows = sweep(rc.params, rc.y_grid(), rc.p_list, rc.Lambda_list, lam=rc.lam)
+        regions = {r.result.region for r in rows if r.result is not None}
+        errors = [r.error for r in rows if r.error]
+        assert "boundary" in regions and ("nonexistent" in regions) == (params == NOEQ)
+        assert any("Lambda=10000" in e for e in errors)
+        assert any(e.startswith("invalid parameters") for e in errors)
+        cases.append((cfg, rc, rows))
+    return cases
+
+
+def run_sweep(cfg, out, *extra):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["--config", str(cfg), "--out", str(out), "sweep", *extra])
+    return rc, err.getvalue().splitlines()
+
+
+def test_sweep_csv_matches_oracle(sweep_cases, tmp_path):
+    for n, (cfg, rc, rows) in enumerate(sweep_cases):
+        oracle, new, out = (tmp_path / f"{name}{n}.csv" for name in ("oracle", "new", "cli"))
+        csv_oracle.write_sweep_csv(oracle, rows)
+        write_sweep_csv(new, _price_grid(rc.params, rc.y_grid(), rc.p_list, rc.Lambda_list, lam=rc.lam))
+        assert new.read_bytes() == oracle.read_bytes()
+        # the CLI path: the same bytes, one stderr line per failed row in row
+        # order carrying its SweepRow.error, and the summary line
+        code, err = run_sweep(cfg, out)
+        assert code == 0
+        assert out.read_bytes() == oracle.read_bytes()
+        failed = [r for r in rows if r.error]
+        assert [line for line in err if " failed: " in line] == [
+            f"sweep: row (y={r.y:g}, p={r.p:g}, Lambda={r.Lambda:g}) failed: {r.error}" for r in failed]
+        assert err[-1] == f"sweep: wrote {out} ({len(rows)} rows, {len(failed)} failures)"
+
+
+def test_figures_match_oracle(sweep_cases, tmp_path):
+    for n, (cfg, rc, rows) in enumerate(sweep_cases):
+        new, old = tmp_path / f"new{n}", tmp_path / f"old{n}"
+        code, err = run_sweep(cfg, tmp_path / "sweep.csv", "--figures", str(new))
+        assert code == 0 and err[-1] == f"sweep: wrote figure files to {new}"
+        csv_oracle.write_figures(old, rows, rc)
+        names = sorted(p.name for p in old.iterdir())
+        assert len(names) == 13 and sorted(p.name for p in new.iterdir()) == names
+        for name in names:
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("params, y, region", [(BASE_PARAMS, 0.5, 2), (BASE_PARAMS, 0.0, "boundary"),
+                                               (NOEQ, 0.5, "nonexistent")])
+def test_equilibrium_out_matches_oracle(tmp_path, capsys, params, y, region):
+    cfg = tmp_path / "eq.cfg"
+    cfg.write_text("".join(f"{f.name} = {getattr(params, f.name)!r}\n" for f in fields(params)),
+                   encoding="utf-8")
+    out, oracle = tmp_path / "eq.csv", tmp_path / "oracle.csv"
+    assert main(["--config", str(cfg), "--out", str(out), "equilibrium", "--y", repr(y),
+                 "--Lambda", "0.5", "--lambda", "0.1"]) == 0
+    printed = capsys.readouterr().out
+    res = equilibrium(MarketState(y, 0.5, 0.1), params)
+    assert res.region == region
+    csv_oracle.write_sweep_csv(oracle, [SweepRow(y, params.p, 0.5, res)])
+    assert out.read_bytes() == oracle.read_bytes()
+    with contextlib.redirect_stdout(io.StringIO()) as block:
+        cli._print_equilibrium_block(res)
+    assert printed == block.getvalue()
+
+
+def test_cli_sweep_builds_no_result_objects(sweep_cases, tmp_path, monkeypatch):
+    # the CLI prices, writes and pivots the sweep from the batches' arrays
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI sweep built a per-state object")
+
+    monkeypatch.setattr(equilibrium_module, "EquilibriumResult", refuse)
+    monkeypatch.setattr(equilibrium_module, "SweepRow", refuse)
+    for n, (cfg, _, _) in enumerate(sweep_cases):
+        code, err = run_sweep(cfg, tmp_path / "sweep.csv", "--figures", str(tmp_path / f"figs{n}"))
+        assert code == 0, err
 
 
 def test_convergence_csv_matches_oracle(tmp_path):
