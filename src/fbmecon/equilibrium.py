@@ -23,8 +23,9 @@ evaluated under that region's prices; if no region passes, the equilibrium
 does not exist and the four objective tables are returned as diagnostics.
 
 Every state is priced by one vectorised code path, :func:`equilibrium_batch`:
-the parameter constants are derived and validated once per batch, and every
-formula is elementwise over the states, so a scalar solve is a batch of one.
+the parameter constants are validated and derived once per parameter set,
+each candidate is priced once per batch, and every formula is elementwise
+over the states, so a scalar solve is a batch of one.
 The preference adjustment is the exponential ratio varphi = exp(beta Lambda)
 set by ``ModelParams.beta1``/``beta2``.  A state whose exponential overflows
 or whose formulas produce a non-finite value gets its own error; the other
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,24 +92,21 @@ class _Failures:
     def __init__(self, y: np.ndarray, Lam: np.ndarray):
         self.y, self.Lam = y, Lam
         self.err: list[Exception | None] = [None] * len(y)
+        self.failed = np.zeros(len(y), dtype=bool)
 
     def put(self, i: int, exc: Exception) -> None:
         """Record ``exc`` for state i unless it already failed."""
         if self.err[i] is None:
             self.err[i] = exc
+            self.failed[i] = True
 
     def flag(self, mask, text, kind=EquilibriumError) -> None:
         """Record ``kind(text(i))`` (or ``kind(text)``) for each masked state."""
-        if not mask.any():
-            return
         for i in np.flatnonzero(mask).tolist():
             self.put(i, kind(text(i) if callable(text) else text))
 
     def at(self, i: int) -> str:
         return f"y={self.y[i]:g}, Lambda={self.Lam[i]:g}"
-
-    def ok(self) -> np.ndarray:
-        return np.array([e is None for e in self.err], dtype=bool)
 
 
 @dataclass
@@ -122,6 +121,8 @@ class _Ctx:
     net_l: float  # 1 - l_C - l_M
     n3: float  # the kink holding 1 / (1 + (1 - p) k)
     r1: float  # varphi'/varphi = beta
+    a_C: float  # 2H h eps^(2h-1) theta_C r1
+    a_M: float
     y: np.ndarray
     Lam: np.ndarray
     lam: np.ndarray
@@ -136,8 +137,23 @@ class _Ctx:
     r0: np.ndarray  # the part of the interest rate free of holdings and diversion
     w_C: np.ndarray  # (1-y) + y qC/qM
     w_M: np.ndarray  # y + (1-y) qM/qC
-    a_C: np.ndarray  # 2H h eps^(2h-1) theta_C r1
-    a_M: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _param_constants(P: ModelParams) -> tuple[dict, float, float, float]:
+    """The parameter fields of a _Ctx, rho^(1/delta_C), rho^(1/delta_M) and
+    H h^2 eps^(2h-2), derived once per parameter set (equal sets share one
+    entry; an invalid set raises on every call, as no exception is cached)."""
+    validate(P)
+    d = derive_constants(P)
+    eps, r1 = P.epsilon, d.beta
+    (p0, h0), (p1, h1) = _kernel(P, 0), _kernel(P, 1)
+    a1 = 2.0 * P.H * d.h * eps ** (2.0 * d.h - 1.0) * r1
+    fields = dict(d=d, vol=float(p0 * eps**h0), lam0=float(p1 * eps**h1), e2h=eps ** (2.0 * d.h),
+                  net_l=1.0 - P.l_C - P.l_M, n3=1.0 / (1.0 + (1.0 - P.p) * P.k), r1=r1,
+                  a_C=d.theta_C * a1, a_M=d.theta_M * a1)
+    return (fields, P.rho ** (1.0 / d.delta_C), P.rho ** (1.0 / d.delta_M),
+            P.H * d.h * d.h * eps ** (2.0 * d.h - 2.0))
 
 
 def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndarray, float, float]:
@@ -148,8 +164,10 @@ def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndar
     """
     beta = d.beta
     varphi = np.exp(beta * Lam)
-    fail.flag(np.isfinite(Lam) & np.isinf(varphi),
-              lambda i: f"adjustment functions failed at Lambda={Lam[i]:g}: math range error")
+    inf = np.isinf(varphi)
+    if np.count_nonzero(inf):
+        fail.flag(np.isfinite(Lam) & inf,
+                  lambda i: f"adjustment functions failed at Lambda={Lam[i]:g}: math range error")
     return varphi, beta, beta * beta
 
 
@@ -157,52 +175,52 @@ def _context(params: ModelParams, y, Lam, lam) -> tuple[_Ctx, _Failures]:
     """Context of a batch under one parameter set, plus its failure record.
 
     The parameters are validated and their constants derived once per
-    batch.  Invalid states (y outside [0, 1], non-finite memory) fail with a
-    ValueError; non-finite state quantities fail with an EquilibriumError.
+    parameter set (:func:`_param_constants`).  Invalid states (y outside
+    [0, 1], non-finite memory) fail with a ValueError; non-finite state
+    quantities fail with an EquilibriumError.
 
     Raises:
         ValueError: if the parameters are invalid (see :func:`validate`).
     """
-    validate(params)
-    P, d = params, derive_constants(params)
-    eps = P.epsilon
-    (p0, h0), (p1, h1) = _kernel(P, 0), _kernel(P, 1)
+    try:
+        k, rho_C, rho_M, hh = _param_constants(params)
+    except TypeError:  # an unhashable field, which validate rejects
+        validate(params)
+        raise
+    P, d = params, k["d"]
     y, Lam, lam = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, Lam, lam))
     fail = _Failures(y, Lam)
-    fail.flag(~((y >= 0.0) & (y <= 1.0)),
-              lambda i: f"consumption share y must lie in [0, 1], got {float(y[i])!r}", ValueError)
-    fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
+    inside = (y >= 0.0) & (y <= 1.0)
+    if np.count_nonzero(inside & np.isfinite(Lam + lam)) < len(y):
+        fail.flag(~inside,
+                  lambda i: f"consumption share y must lie in [0, 1], got {float(y[i])!r}", ValueError)
+        fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
     varphi, r1, r2 = _adjust(d, Lam, fail)
     # powers of varphi, not exp(beta_i Lambda): folding would change the
     # rounding, and a varphi that underflows to 0 (Lambda = -1e4) fails here
-    qC = P.rho ** (1.0 / d.delta_C) * varphi**d.theta_C
-    qM = P.rho ** (1.0 / d.delta_M) * varphi**d.theta_M
-    C = (1.0 - y) / qC + y / qM
-    A = P.sigma_D - (d.h / P.epsilon) * r1 * (d.theta_C * (1.0 - y) + d.theta_M * y)
-    finite = np.isfinite([qC, qM, C, A])
-    labels = ("consumption-wealth ratio of C", "consumption-wealth ratio of M",
-              "wealth aggregator", "volatility numerator")
-    fail.flag(~finite.all(axis=0),
-              lambda i: f"non-finite {labels[int(np.argmin(finite[:, i]))]} at {fail.at(i)}")
-    hh = P.H * d.h * d.h * eps ** (2.0 * d.h - 2.0)
+    qC = rho_C * varphi**d.theta_C
+    qM = rho_M * varphi**d.theta_M
+    y1 = 1.0 - y
+    C = y1 / qC + y / qM
+    A = P.sigma_D - (d.h / P.epsilon) * r1 * (d.theta_C * y1 + d.theta_M * y)
+    if np.count_nonzero(np.isfinite(qC + qM + C + A)) < len(y):  # finite only if every term is
+        finite = np.isfinite([qC, qM, C, A])
+        labels = ("consumption-wealth ratio of C", "consumption-wealth ratio of M",
+                  "wealth aggregator", "volatility numerator")
+        fail.flag(~finite.all(axis=0),
+                  lambda i: f"non-finite {labels[int(np.argmin(finite[:, i]))]} at {fail.at(i)}")
     cons_C = qC - d.theta_C * lam * r1 - hh * d.theta_C * ((d.theta_C - 1.0) * r1 * r1 + r2)
     cons_M = qM - d.theta_M * lam * r1 - hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r2)
-    a1 = 2.0 * P.H * d.h * P.epsilon ** (2.0 * d.h - 1.0) * r1
-    net_l = 1.0 - P.l_C - P.l_M
+    net_l = k["net_l"]
     c = _Ctx(
-        P=P, d=d, vol=float(p0 * eps**h0), lam0=float(p1 * eps**h1), e2h=eps ** (2.0 * d.h),
-        net_l=net_l, n3=1.0 / (1.0 + (1.0 - P.p) * P.k), r1=r1,
-        y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,
+        P=P, **k, y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,
         D_S=net_l / C,
-        D_WC=net_l * qC / (1.0 - y),
-        S_WC=C * qC / (1.0 - y),
+        D_WC=net_l * qC / y1,
+        S_WC=C * qC / y1,
         cons_M=cons_M,
-        r0=(P.mu_D + P.sigma_D * Lam - P.l_C * qC - P.l_M * qM
-            + (1.0 - y) * cons_C + y * cons_M),
-        w_C=(1.0 - y) + y * (qC / qM),
-        w_M=y + (1.0 - y) * (qM / qC),
-        a_C=d.theta_C * a1,
-        a_M=d.theta_M * a1,
+        r0=(P.mu_D + P.sigma_D * Lam - P.l_C * qC - P.l_M * qM + y1 * cons_C + y * cons_M),
+        w_C=y1 + y * (qC / qM),
+        w_M=y + y1 * (qM / qC),
     )
     return c, fail
 
@@ -257,9 +275,10 @@ def _J(c: _Ctx, n, x, r, mu, sigma):
 def _prices(c: _Ctx, n_C):
     """(x, sigma, kappa, r, mu) under the prices generated by holding n_C."""
     x = x_star(n_C, c.P.k, c.P.p)
-    B = n_C * c.qC + (1.0 - n_C) * c.qM
+    m = 1.0 - n_C
+    B = n_C * c.qC + m * c.qM
     sigma = c.A / (B * c.C)
-    kappa = c.vol * c.d.delta_M * c.qM * (1.0 - n_C) * c.A / (c.y * B)
+    kappa = c.vol * c.d.delta_M * c.qM * m * c.A / (c.y * B)
     r = _rate(c, n_C, x, kappa, sigma)
     return x, sigma, kappa, r, _mu(c, r, sigma, kappa, x)
 
@@ -285,40 +304,41 @@ def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
     companion matrix of the reversed polynomial c0 m^3 + c1 m^2 + c2 m + c3,
     whose leading coefficient c0 = g(0) > 0 does not vanish when the cubic
     degenerates (a = 0 at full protection, b1 = 0 for equal consumption
-    ratios), so no degree needs a case of its own.  Real roots within tau of
-    [0, 1] get one Newton step on g in its factored form (at a = 0 it returns
-    n2 exactly), are filtered again and clipped to [0, 1].  eigvals is backward
-    stable, so a simple root moves by about kappa eps ||comp||: near an edge by
-    at most 3.9 eps ||comp||_F = 1.5e-15 in an 874k-state scan, 1/600 of tau.
+    ratios), so no degree needs a case of its own.  Every eigenvalue gets one
+    Newton step on g in its factored form (at a = 0 it returns n2 exactly);
+    a real root is kept when it lies within tau of [0, 1] both before and
+    after the step, and is clipped to [0, 1].  eigvals is backward stable, so
+    a simple root moves by about kappa eps ||comp||: near an edge by at most
+    3.9 eps ||comp||_F = 1.5e-15 in an 874k-state scan, 1/600 of tau.
 
     Arguments broadcast to (S,); returns (3, S): each state's roots in
     ascending order, padded with NaN.  A state with non-finite coefficients
     has no roots.
     """
-    c3 = -a * b1 * b1 / n3
-    c2 = a * (b1 * b1 - 2.0 * b0 * b1 / n3)
-    c1 = a * (2.0 * b0 * b1 - b0 * b0 / n3) - 1.0
+    t = 2.0 * b0 * b1
     c0 = n2 + a * b0 * b0
     comp = np.zeros(np.shape(c0) + (3, 3))
-    comp[..., 0, 0] = -c1 / c0
-    comp[..., 0, 1] = -c2 / c0
-    comp[..., 0, 2] = -c3 / c0
     comp[..., 1, 0] = comp[..., 2, 1] = 1.0
-    comp[~np.isfinite(comp).all(axis=(-2, -1))] = 0.0
+    # -c1/c0, -c2/c0, -c3/c0: dividing by -c0 rounds alike, as rounding is odd
+    row = np.array([a * (t - b0 * b0 / n3) - 1.0, a * (b1 * b1 - t / n3),
+                    -a * b1 * b1 / n3]) / -c0
+    comp[..., 0, :] = row.T
+    finite = np.isfinite(row)
+    if np.count_nonzero(finite) < finite.size:
+        comp[~finite.all(axis=0)] = 0.0
     m = np.linalg.eigvals(comp).T
     n = 1.0 / m.real
-    tau = 2.0 ** -40  # 9.1e-13
-    n = np.where((m.imag == 0.0) & (n >= -tau) & (n <= 1.0 + tau), n, np.nan)
     B = b0 + b1 * n
     u = 1.0 - n / n3
-    g = -n + n2 + a * u * B * B
-    dg = -1.0 + a * (2.0 * b1 * u * B - B * B / n3)
-    n = n - g / dg
-    return np.sort(np.where((n >= -tau) & (n <= 1.0 + tau), n, np.nan).clip(0.0, 1.0), axis=0)
+    n1 = n - (n2 - n + a * u * B * B) / (a * (2.0 * b1 * u * B - B * B / n3) - 1.0)
+    tau = 2.0 ** -40  # 9.1e-13
+    keep = (m.imag == 0.0) & (np.minimum(n, n1) >= -tau) & (np.maximum(n, n1) <= 1.0 + tau)
+    return np.sort(np.where(keep, n1, np.nan).clip(0.0, 1.0), axis=0)
 
 
-def _candidates(c: _Ctx, fail: _Failures, live):
-    """Candidate holdings (4, S) and their prices.
+def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
+    """The four candidate holdings and their prices, as one (6, 4, S) table of
+    [holding, x, sigma, kappa, r, mu] per candidate.
 
     Region 1 takes the root whose objective under its own prices is largest
     (the smallest such root on ties).  ``live`` masks the interior states
@@ -328,24 +348,41 @@ def _candidates(c: _Ctx, fail: _Failures, live):
     n2 = _n2(c)
     G = (1.0 - P.p) * c.net_l * c.y / (2.0 * P.H * c.e2h * d.delta_M * c.qM * c.A * c.A)
     a = np.where(c.A == 0.0, 0.0, n2 * G)  # at p = 1 the fixed point is n2 for any A
-    if P.p < 1.0:
-        fail.flag(live & (c.A == 0.0),
-                  "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
-                  "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")
     g0 = n2 + a * c.qM * c.qM
     g1 = n2 - 1.0 + a * (1.0 - 1.0 / c.n3) * c.qC * c.qC
-    fail.flag(live & ~((g0 >= 0.0) & (g1 <= 0.0)),
-              lambda i: f"bracket guarantee failed: g(0)={g0[i]:g}, g(1)={g1[i]:g} "
-                        "(expected g(0) >= 0 >= g(1))")
     roots = _fixed_point_roots(n2, c.n3, a, c.qM, c.qC - c.qM)
-    fail.flag(live & np.isnan(roots[0]),
-              "no Region-1 fixed point found on [0, 1] despite the bracket guarantee")
-
-    ones = np.ones_like(n2)
-    cols = np.concatenate([roots, [n2, c.n3 * ones, ones]])
+    cols = np.empty((6, len(n2)))
+    cols[:3], cols[3], cols[4], cols[5] = roots, n2, c.n3, 1.0
     # [holding, x, sigma, kappa, r, mu] of the three roots and three closed forms
     table = np.array([cols, *_prices(c, cols)])
     finite = np.isfinite(table[2:])
+    ok = (c.A != 0.0) & (g0 >= 0.0) & (g1 <= 0.0) & (roots[0] == roots[0])
+    # a NaN holding prices to NaN, so the rest is finite iff the count matches
+    if (np.count_nonzero(live & ~ok)
+            or np.count_nonzero(finite) != 4 * np.count_nonzero(cols == cols)):
+        _flag_candidates(c, fail, live, g0, g1, roots, cols, finite)
+    cand = table[:, 2:]  # root 3's column becomes the picked root's
+    if np.count_nonzero(roots[1] == roots[1]):  # some state has roots to weigh
+        n, x, sigma, kappa, r, mu = table[:, :3]
+        J_roots = _J(c, n, x, r, mu, sigma)
+        best = np.where(np.isfinite(J_roots), J_roots, -np.inf).argmax(axis=0)
+        cand[:, 0] = table[:, best, np.arange(len(best))]
+    else:
+        cand[:, 0] = table[:, 0]
+    return cand
+
+
+def _flag_candidates(c: _Ctx, fail: _Failures, live, g0, g1, roots, cols, finite) -> None:
+    """Record the candidate stage's failures of the live states, in check order."""
+    if c.P.p < 1.0:
+        fail.flag(live & (c.A == 0.0),
+                  "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
+                  "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")
+    fail.flag(live & ~((g0 >= 0.0) & (g1 <= 0.0)),
+              lambda i: f"bracket guarantee failed: g(0)={g0[i]:g}, g(1)={g1[i]:g} "
+                        "(expected g(0) >= 0 >= g(1))")
+    fail.flag(live & np.isnan(roots[0]),
+              "no Region-1 fixed point found on [0, 1] despite the bracket guarantee")
     bad = ~np.isnan(cols) & ~finite.all(axis=0)
 
     def bad_price(i):
@@ -356,15 +393,10 @@ def _candidates(c: _Ctx, fail: _Failures, live):
 
     fail.flag(live & bad.any(axis=0), bad_price)
 
-    n, x, sigma, kappa, r, mu = table[:, :3]
-    J_roots = _J(c, n, x, r, mu, sigma)
-    best = np.where(np.isfinite(J_roots), J_roots, -np.inf).argmax(axis=0)
-    picked = np.concatenate([table[:, best, np.arange(len(best))][:, None], table[:, 3:]], axis=1)
-    return picked[0], tuple(picked[1:])
 
-
-def _select(c: _Ctx, n, prices, live):
-    """Self-consistency tests: region codes, objective tables and availability.
+def _select(c: _Ctx, cand, live):
+    """Self-consistency tests: region codes, the selected candidate of each
+    state, objective tables and availability.
 
     Region j is self-consistent when its candidate attains the largest
     objective, under region-j prices, among the available candidates (each
@@ -372,14 +404,14 @@ def _select(c: _Ctx, n, prices, live):
     wins; at p = 1 a Region-1 selection is labeled 2 (the fixed point is the
     closed form exactly), matching the benchmark economy.
     """
-    x, sigma, kappa, r, mu = prices
-    avail = np.isfinite(n) & (n >= 0.0) & (n <= 1.0)
+    n, x, sigma, kappa, r, mu = cand
+    avail = (n >= 0.0) & (n <= 1.0)  # NaN fails both tests
     T = _J(c, n[None], x[None], r[:, None], mu[:, None], sigma[:, None])  # [region, candidate]
-    T = np.where(avail[None], T, np.nan)
-    finite = np.isfinite(T)
-    top = np.where(finite, T, -np.inf).max(axis=1)
-    diag = T[np.arange(4), np.arange(4)]
-    consistent = avail & finite.any(axis=1) & (diag >= top)
+    T = np.where(avail, T, np.nan)
+    top = np.where(np.isfinite(T), T, -np.inf).max(axis=1)
+    diag = T.diagonal(0, 0, 1).T
+    # an unavailable candidate's diag is NaN; top > -inf when a finite entry exists
+    consistent = (diag >= top) & (top > -np.inf)
     j = consistent.argmax(axis=0)
     code = np.where(consistent.any(axis=0), j + 1, _NONEXISTENT)
     if c.P.p == 1.0:
@@ -450,30 +482,30 @@ class _Batch:
     tests: tuple | None = None
 
 
-def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa,
+def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa, r, mu,
             tests=None) -> _Batch:
-    """Price the selected holdings into the batch of the first ``count`` states.
+    """The batch of the first ``count`` states, from their selected holdings
+    and the prices (x, sigma, kappa, r, mu) those holdings generate.
 
-    Boundary and interior states share the rate, drift and derived-quantity
-    formulas; sigma_y is zero at the boundary.  A state whose existing
-    equilibrium has a non-finite field fails.
+    Boundary and interior states share the derived-quantity formulas;
+    sigma_y is zero at the boundary.  A state whose existing equilibrium has
+    a non-finite field fails.
     """
-    r = _rate(c, n_C, x, kappa, sigma)
-    mu = _mu(c, r, sigma, kappa, x)
     sigma_y = np.where(code == _BOUNDARY, 0.0, _sigma_y(c, kappa))
     mu_y = _mu_y(c, x, kappa, r, sigma_y)
     # mu_H = mu + sigma Lambda absorbs the memory drift, sigma_H = sqrt(2H) eps^h sigma
     # is the volatility the Brownian shock carries, and mu_G = mu_H + (1 - x*) D/S
     # adds back the undiverted dividend yield
     mu_H = mu + sigma * c.Lam
-    priced = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y,
-                       mu_H, c.vol * sigma, mu_H + (1.0 - x) * c.D_S, c.D_S])
-    finite = np.isfinite(priced)
-    fail.flag((code != _NONEXISTENT) & ~finite.all(axis=0), lambda i: (
-        f"non-finite {RESULT_FIELDS[int(np.argmin(finite[:, i]))]} at {fail.at(i)}"))
-    code = np.where(fail.ok(), code, _NONEXISTENT)
-    fields = np.concatenate([np.where(code != _NONEXISTENT, priced[:-1], np.nan),
-                             [c.D_S, c.D_WC, c.S_WC, c.qC, c.qM]])
+    fields = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y, mu_H,
+                       c.vol * sigma, mu_H + (1.0 - x) * c.D_S, c.D_S, c.D_WC, c.S_WC, c.qC, c.qM])
+    finite = np.isfinite(fields[:len(RESULT_FIELDS)])
+    if np.count_nonzero(finite) < finite.size:
+        fail.flag((code != _NONEXISTENT) & ~finite.all(axis=0), lambda i: (
+            f"non-finite {RESULT_FIELDS[int(np.argmin(finite[:, i]))]} at {fail.at(i)}"))
+    code = np.where(fail.failed, _NONEXISTENT, code)
+    if np.count_nonzero(code) < len(code):
+        fields[:len(RESULT_FIELDS) - 1, code == _NONEXISTENT] = np.nan
     tests = None if tests is None else tuple(a[..., :count] for a in tests)
     return _Batch(c.P.p, np.array([c.y, c.Lam, c.lam])[:, :count], code[:count],
                   fields[:, :count], fail.err[:count], tests)
@@ -506,46 +538,45 @@ def _solve(params: ModelParams, y, Lam, lam, branch_hint: int | None = None) -> 
 
     A y = 0 state with p < 1 takes its branch from the region of the interior
     state at y = _PROBE_Y (same memory levels), which joins the batch, unless
-    ``branch_hint`` names the region.
+    ``branch_hint`` names the region.  Each candidate is priced once, in
+    :func:`_candidates`; only a batch with boundary states prices again.
     """
     count = len(y)
     # p != 1 rather than p < 1: the parameters are validated by _context below
-    probed = np.flatnonzero((y == 0.0) & (params.p != 1.0) & (branch_hint is None))
+    probed = np.flatnonzero((y == 0.0) & (params.p != 1.0 and branch_hint is None))
     if len(probed):
         y = np.concatenate([y, np.full(len(probed), _PROBE_Y)])
         Lam = np.concatenate([Lam, Lam[probed]])
         lam = np.concatenate([lam, lam[probed]])
     c, fail = _context(params, y, Lam, lam)
     interior = (y > 0.0) & (y < 1.0)
-    live = interior & fail.ok()
-    n, prices = _candidates(c, fail, live)
-    code, j, tables, avail = _select(c, n, prices, live)
-    idx = np.arange(len(y))
-    n_C, x, sigma, kappa = (v[j, idx] for v in (n, *prices[:3]))
-
-    # boundary states: explicit limits, the y = 0 Sharpe ratio on one of two branches
-    at0 = y == 0.0
-    zero_branch = at0 & (c.P.p < 1.0) & (branch_hint == 4)
-    for k, s in enumerate(probed.tolist()):
-        q = count + k
-        if fail.err[q] is not None:
-            fail.put(s, fail.err[q])
-        elif code[q] == _NONEXISTENT:
-            fail.put(s, EquilibriumError(
-                f"cannot infer the y=0 branch: no interior equilibrium at y={_PROBE_Y:g}"))
-        zero_branch[s] = code[q] == 4
-    kappa_b = np.where(at0, np.where(zero_branch, 0.0, c.vol * c.d.delta_C * c.A),
-                       c.vol * c.d.delta_M * c.A)
+    live = interior & ~fail.failed
+    cand = _candidates(c, fail, live)
+    code, j, tables, avail = _select(c, cand, live)
+    n_C, x, sigma, kappa, r, mu = cand[:, j, np.arange(len(y))]
     boundary = ~interior
-    code = np.where(boundary, _BOUNDARY, code)
-    return _finish(
-        c, fail, count, code,
-        n_C=np.where(boundary, 1.0 - y, n_C),
-        x=np.where(boundary, 0.0, x),
-        sigma=np.where(boundary, c.A, sigma),
-        kappa=np.where(boundary, kappa_b, kappa),
-        tests=(tables, n, avail),
-    )
+    if np.count_nonzero(boundary):
+        # explicit limits, the y = 0 Sharpe ratio on one of two branches
+        at0 = y == 0.0
+        zero_branch = at0 & (c.P.p < 1.0) & (branch_hint == 4)
+        for k, s in enumerate(probed.tolist()):
+            q = count + k
+            if fail.err[q] is not None:
+                fail.put(s, fail.err[q])
+            elif code[q] == _NONEXISTENT:
+                fail.put(s, EquilibriumError(
+                    f"cannot infer the y=0 branch: no interior equilibrium at y={_PROBE_Y:g}"))
+            zero_branch[s] = code[q] == 4
+        kappa_b = np.where(at0, np.where(zero_branch, 0.0, c.vol * c.d.delta_C * c.A),
+                           c.vol * c.d.delta_M * c.A)
+        code = np.where(boundary, _BOUNDARY, code)
+        n_C = np.where(boundary, 1.0 - y, n_C)
+        x = np.where(boundary, 0.0, x)
+        sigma = np.where(boundary, c.A, sigma)
+        kappa = np.where(boundary, kappa_b, kappa)
+        r = _rate(c, n_C, x, kappa, sigma)
+        mu = _mu(c, r, sigma, kappa, x)
+    return _finish(c, fail, count, code, n_C, x, sigma, kappa, r, mu, tests=(tables, cand[0], avail))
 
 
 def _first(batch: _Batch) -> EquilibriumResult:
@@ -610,8 +641,7 @@ def benchmark_equilibrium(state: MarketState, params: ModelParams) -> Equilibriu
         raise ValueError("benchmark equilibrium requires y strictly inside (0, 1)")
     c, fail = _context(replace(params, p=1.0), state.y, state.Lambda, state.lambda_small)
     n_B = _n2(c)
-    x, sigma, kappa, _, _ = _prices(c, n_B)
-    return _first(_finish(c, fail, 1, np.full(1, 2), n_B, x, sigma, kappa))
+    return _first(_finish(c, fail, 1, np.full(1, 2), n_B, *_prices(c, n_B)))
 
 
 def boundary_equilibrium(
@@ -791,9 +821,9 @@ def sweep(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0
     """Cross-product sweep over (y, p, Lambda) with per-row failure capture.
 
     Rows are emitted in deterministic order: y outermost, then p, then
-    Lambda.  The small memory level is held fixed (default 0).  Each p is
-    one :func:`equilibrium_batch`; a row that fails, or every row of a p
-    whose parameters are invalid, records its error and the sweep goes on.
+    Lambda.  The small memory level is held fixed (default 0).  Each p is one
+    :func:`_solve` batch of :func:`_price_grid`; a row that fails, or every row
+    of a p whose parameters are invalid, records its error and the sweep goes on.
     """
     g = _price_grid(params, y_values, p_values, Lambda_values, lam)
     return [SweepRow(y, p, L, None, error=str(res)) if isinstance(res, Exception) else

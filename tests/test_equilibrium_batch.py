@@ -7,25 +7,31 @@ agree up to the oracle's bisection width, amplified by each field's
 sensitivity to the holding.
 """
 
+import importlib
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import equilibrium_oracle as oracle
+import root_oracle
 from fbmecon import (
     BASE_PARAMS,
     EquilibriumError,
     EquilibriumResult,
     MarketState,
+    derive_constants,
     equilibrium,
     equilibrium_batch,
     sweep,
 )
 from fbmecon.equilibrium import _fixed_point_roots
+
+eqmod = importlib.import_module("fbmecon.equilibrium")
 
 FIELDS = ("n_C", "n_M", "x_star", "r", "mu", "sigma", "kappa", "mu_y", "sigma_y",
           "D_over_S", "D_over_WC", "S_over_WC", "c_coeff_C", "c_coeff_M",
@@ -144,6 +150,42 @@ def test_root_rounded_past_the_edge_is_kept():
     assert res.region == "nonexistent" and res.candidates[0] == 1.0
 
 
+# the roots against an exact Sturm count: inputs span the scales the solver
+# meets (a up to 1e8 near full diversion, b0 = qM down to 1e-12 at extreme memory)
+_SCALE = st.floats(-12.0, 2.0).map(lambda e: 10.0**e)
+#: A draw counts only where its exact roots lie this far from each other and
+#: from 0 and 1: far above the 2^-40 edge allowance and the rounding of the
+#: float coefficients, so the exact count is the count the solver must find.
+_MARGIN = Fraction(1, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n2=st.floats(1e-3, 0.999),
+    n3=st.floats(0.05, 1.0),
+    a=st.one_of(st.just(0.0), st.floats(-6.0, 8.0).map(lambda e: 10.0**e)),
+    b0=_SCALE,
+    b1=st.one_of(st.just(0.0), _SCALE, _SCALE.map(lambda v: -v)),
+)
+def test_roots_match_the_exact_sturm_count(n2, n3, a, b0, b1):
+    g = root_oracle.cubic(n2, n3, a, b0, b1)
+    seq = root_oracle.sturm(g)
+    lo, hi = -_MARGIN, 1 + _MARGIN
+    assume(len(seq[-1]) == 1)  # no repeated root
+    assume(root_oracle.count(seq, lo, _MARGIN) == 0 and root_oracle.count(seq, 1 - _MARGIN, hi) == 0)
+    assume(root_oracle.isolated(seq, lo, hi, _MARGIN))
+    roots = _fixed_point_roots(*(np.array([v]) for v in (n2, n3, a, b0, b1)))[:, 0]
+    found = roots[np.isfinite(roots)].tolist()
+    assert len(found) == root_oracle.count(seq, Fraction(0), Fraction(1))
+    # |g| at a reported root is at rounding level: a few ulps of g's terms plus
+    # |g'| times the root's own last bit
+    dg, eps = root_oracle.derivative(g), Fraction(2.0**-52)
+    for r in map(Fraction, found):
+        terms = 1 + r + abs(Fraction(n2)) + abs(Fraction(a) * (1 - r / Fraction(n3))
+                                              * (Fraction(b0) + Fraction(b1) * r) ** 2)
+        assert abs(root_oracle.evaluate(g, r)) <= 64 * eps * (terms + abs(root_oracle.evaluate(dg, r)))
+
+
 # ---------------------------------------------------------------------------
 # Failures stay with their state; invalid parameters are rejected
 
@@ -234,3 +276,112 @@ def test_invalid_parameters_rejected(change):
         equilibrium(MarketState(0.5), bad)
     with pytest.raises(ValueError, match="invalid parameters"):
         equilibrium_batch([0.0, 0.5], 0.0, 0.0, bad)  # y = 0 makes the solver read p
+
+
+# ---------------------------------------------------------------------------
+# A scalar state is a batch of one, bit for bit; per-batch work is done once
+
+NOEQ = replace(BASE_PARAMS, p=0, k=0.5, beta1=2)
+SYMMETRIC = replace(BASE_PARAMS, gamma_C=3.0, gamma_M=3.0, alpha_C=0.5, alpha_M=0.5)
+
+
+def _outcome(res) -> str:
+    return f"{type(res).__name__}: {res}" if isinstance(res, Exception) else repr(res)
+
+
+@pytest.mark.parametrize("params", [BASE_PARAMS, NOEQ, replace(BASE_PARAMS, p=1.0), SYMMETRIC],
+                         ids=["base", "noeq", "full-protection", "symmetric"])
+def test_scalar_is_the_batch_bitwise(params):
+    # interior states; y = 0 (the y = 1e-4 probe joins the batch), 1 and 1e-9;
+    # under NOEQ, nonexistent states at Lambda = 53 and, at Lambda = -10 and
+    # y in {0.99, 0.995}, states with three roots in [0, 1]; failures at
+    # Lambda = +-1e4; SYMMETRIC has qC = qM, so its cubic is linear
+    ys = [0.0, 1e-9, 0.001, 0.3, 0.5, 0.99, 0.995, 1.0]
+    Ls = [0.0, -10.0, 5.0, 53.0, 1e4, -1e4]
+    y, L = np.repeat(ys, len(Ls)), np.tile(Ls, len(ys))
+    batch = equilibrium_batch(y, L, 0.2, params)
+    kinds = set()
+    for yi, Li, res in zip(y.tolist(), L.tolist(), batch):
+        try:
+            scalar = equilibrium(MarketState(yi, Li, 0.2), params)
+        except (ValueError, EquilibriumError) as exc:
+            scalar = exc
+        assert _outcome(scalar) == _outcome(res), (yi, Li)
+        kinds.add(type(res).__name__ if isinstance(res, Exception) else res.region)
+    assert {"boundary", "EquilibriumError"} <= kinds and kinds & {1, 2, 3, 4}
+    assert params is not NOEQ or "nonexistent" in kinds
+
+
+def test_first_error_of_each_stage_is_pinned():
+    # H < 1/2 makes h < 0, so this sigma_D zeroes the volatility numerator
+    # A = sigma_D - (h/eps) beta (theta_C (1-y) + theta_M y) at y = 0.5 exactly
+    params = replace(BASE_PARAMS, H=0.35, beta1=10.0)
+    d = derive_constants(params)
+    params = replace(params, sigma_D=(d.h / params.epsilon) * d.beta * (d.theta_C * 0.5 + d.theta_M * 0.5))
+    cases = [
+        ((1.5, 0.0, 0.0), ValueError("consumption share y must lie in [0, 1], got 1.5")),
+        ((1.5, -1e4, math.nan), ValueError("consumption share y must lie in [0, 1], got 1.5")),
+        ((0.5, math.nan, 0.0), ValueError("memory levels must be finite")),
+        ((0.5, 1e4, math.nan), ValueError("memory levels must be finite")),
+        ((0.5, 1e4, 0.0), EquilibriumError("adjustment functions failed at Lambda=10000: math range error")),
+        ((0.5, -1e4, 0.0), EquilibriumError("non-finite consumption-wealth ratio of C at y=0.5, Lambda=-10000")),
+        ((0.5, 0.0, 0.0), EquilibriumError(
+            "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
+            "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")),
+        ((0.3, 0.0, 1e308), EquilibriumError(
+            "r formula produced a non-finite value at y=0.3, Lambda=0, n_C=0.839049")),
+    ]
+    ys, Ls, ls = (list(v) for v in zip(*(state for state, _ in cases)))
+    for (state, want), got in zip(cases, equilibrium_batch(ys + [0.3], Ls + [0.0], ls + [0.0], params)):
+        assert _outcome(got) == _outcome(want), state
+    # the root stage: at an extreme memory level eigvals finds no root in [0, 1]
+    (got,) = equilibrium_batch(0.007627729982231036, -585.5035095049648, 0.0,
+                               replace(BASE_PARAMS, beta1=0.5))
+    assert _outcome(got) == _outcome(EquilibriumError(
+        "no Region-1 fixed point found on [0, 1] despite the bracket guarantee"))
+
+
+def test_constants_are_derived_once_per_parameter_set(monkeypatch):
+    calls, validate = [], eqmod.validate
+    monkeypatch.setattr(eqmod, "validate", lambda P: calls.append(P) or validate(P))
+    eqmod._param_constants.cache_clear()
+    try:
+        twin = replace(BASE_PARAMS)  # equal, but a distinct object
+        assert twin == BASE_PARAMS and twin is not BASE_PARAMS
+        for y in (0.2, 0.5, 0.8):
+            equilibrium(MarketState(y, 1.0), BASE_PARAMS)
+            equilibrium(MarketState(y, 1.0), twin)
+        assert len(calls) == 1 and eqmod._param_constants.cache_info().currsize == 1
+        equilibrium(MarketState(0.5), NOEQ)
+        assert len(calls) == 2
+    finally:
+        eqmod._param_constants.cache_clear()
+
+
+@pytest.mark.parametrize("change", [dict(gamma_C=1.0), dict(p=[0.5]), dict(p=math.nan)])
+def test_invalid_parameters_raise_on_every_call(change):
+    bad = replace(BASE_PARAMS, **change)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"^invalid parameters: "):
+            equilibrium(MarketState(0.5), bad)
+
+
+def test_one_interior_solve_prices_each_candidate_once(monkeypatch):
+    calls = {}
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("_rate", "_mu", "_J"):
+        monkeypatch.setattr(eqmod, name, count(name, getattr(eqmod, name)))
+    monkeypatch.setattr(np.linalg, "eigvals", count("eigvals", np.linalg.eigvals))
+    equilibrium(MarketState(0.5, 1.0, 0.2), BASE_PARAMS)
+    # one root: the objective is tabled once, for the region tests
+    assert calls == {"_rate": 1, "_mu": 1, "eigvals": 1, "_J": 1}
+    calls.clear()
+    equilibrium(MarketState(0.99, -10.0, 0.2), NOEQ)
+    # three roots: the objective also weighs each root under its own prices
+    assert calls == {"_rate": 1, "_mu": 1, "eigvals": 1, "_J": 2}
