@@ -22,6 +22,12 @@ A region is self-consistent when its own candidate maximizes the objective
 evaluated under that region's prices; if no region passes, the equilibrium
 does not exist and the four objective tables are returned as diagnostics.
 
+The Region-4 candidate competes in every test but is never self-consistent in
+exact arithmetic: under its prices kappa = x = 0 and S/W_C D/S = D/W_C, so
+J(n3; 4) - J(1; 4) = x3 (1 - n3) D/W_C / 2 + K (1 - n3^2) > 0 for p < 1, with
+K = H eps^(2h) delta_C (S/W_C sigma_4)^2; at p = 1, n3 = 1 and Region 3 wins
+the identical test.  So y = 0, like y = 1, is an explicit limit of one branch.
+
 Every state is priced by one vectorised code path, :func:`equilibrium_batch`:
 the parameter constants are validated and derived once per parameter set,
 each candidate is priced once per batch, and every formula is elementwise
@@ -52,8 +58,6 @@ __all__ = ["MarketState", "EquilibriumResult", "Prices", "PartialPolicies", "Swe
            "benchmark_equilibrium", "boundary_equilibrium", "benchmark_differences",
            "partial_policies", "sweep"]
 
-#: Consumption share of the interior state whose region picks the y = 0 branch.
-_PROBE_Y = 1e-4
 #: Region codes of a batch beyond the interior regions 1-4.
 _NONEXISTENT, _BOUNDARY = 0, 5
 
@@ -94,16 +98,12 @@ class _Failures:
         self.err: list[Exception | None] = [None] * len(y)
         self.failed = np.zeros(len(y), dtype=bool)
 
-    def put(self, i: int, exc: Exception) -> None:
-        """Record ``exc`` for state i unless it already failed."""
-        if self.err[i] is None:
-            self.err[i] = exc
-            self.failed[i] = True
-
     def flag(self, mask, text, kind=EquilibriumError) -> None:
-        """Record ``kind(text(i))`` (or ``kind(text)``) for each masked state."""
-        for i in np.flatnonzero(mask).tolist():
-            self.put(i, kind(text(i) if callable(text) else text))
+        """Record ``kind(text(i))`` (or ``kind(text)``) for each masked state
+        that has not failed yet."""
+        for i in np.flatnonzero(mask & ~self.failed).tolist():
+            self.err[i] = kind(text(i) if callable(text) else text)
+        self.failed |= mask
 
     def at(self, i: int) -> str:
         return f"y={self.y[i]:g}, Lambda={self.Lam[i]:g}"
@@ -482,10 +482,9 @@ class _Batch:
     tests: tuple | None = None
 
 
-def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa, r, mu,
-            tests=None) -> _Batch:
-    """The batch of the first ``count`` states, from their selected holdings
-    and the prices (x, sigma, kappa, r, mu) those holdings generate.
+def _finish(c: _Ctx, fail: _Failures, code, n_C, x, sigma, kappa, r, mu, tests=None) -> _Batch:
+    """The batch of the context's states, from their selected holdings and
+    the prices (x, sigma, kappa, r, mu) those holdings generate.
 
     Boundary and interior states share the derived-quantity formulas;
     sigma_y is zero at the boundary.  A state whose existing equilibrium has
@@ -506,9 +505,7 @@ def _finish(c: _Ctx, fail: _Failures, count: int, code, n_C, x, sigma, kappa, r,
     code = np.where(fail.failed, _NONEXISTENT, code)
     if np.count_nonzero(code) < len(code):
         fields[:len(RESULT_FIELDS) - 1, code == _NONEXISTENT] = np.nan
-    tests = None if tests is None else tuple(a[..., :count] for a in tests)
-    return _Batch(c.P.p, np.array([c.y, c.Lam, c.lam])[:, :count], code[:count],
-                  fields[:, :count], fail.err[:count], tests)
+    return _Batch(c.P.p, np.array([c.y, c.Lam, c.lam]), code, fields, fail.err, tests)
 
 
 def _results(b: _Batch) -> list:
@@ -533,21 +530,13 @@ def _results(b: _Batch) -> list:
 
 
 @np.errstate(all="ignore")
-def _solve(params: ModelParams, y, Lam, lam, branch_hint: int | None = None) -> _Batch:
+def _solve(params: ModelParams, y, Lam, lam) -> _Batch:
     """Equilibria of the states (y, Lam, lam), as one batch.
 
-    A y = 0 state with p < 1 takes its branch from the region of the interior
-    state at y = _PROBE_Y (same memory levels), which joins the batch, unless
-    ``branch_hint`` names the region.  Each candidate is priced once, in
-    :func:`_candidates`; only a batch with boundary states prices again.
+    Each candidate is priced once, in :func:`_candidates`.  The boundary
+    states y in {0, 1} take their explicit limits in the same pass; only a
+    batch with boundary states prices again.
     """
-    count = len(y)
-    # p != 1 rather than p < 1: the parameters are validated by _context below
-    probed = np.flatnonzero((y == 0.0) & (params.p != 1.0 and branch_hint is None))
-    if len(probed):
-        y = np.concatenate([y, np.full(len(probed), _PROBE_Y)])
-        Lam = np.concatenate([Lam, Lam[probed]])
-        lam = np.concatenate([lam, lam[probed]])
     c, fail = _context(params, y, Lam, lam)
     interior = (y > 0.0) & (y < 1.0)
     live = interior & ~fail.failed
@@ -556,27 +545,17 @@ def _solve(params: ModelParams, y, Lam, lam, branch_hint: int | None = None) -> 
     n_C, x, sigma, kappa, r, mu = cand[:, j, np.arange(len(y))]
     boundary = ~interior
     if np.count_nonzero(boundary):
-        # explicit limits, the y = 0 Sharpe ratio on one of two branches
-        at0 = y == 0.0
-        zero_branch = at0 & (c.P.p < 1.0) & (branch_hint == 4)
-        for k, s in enumerate(probed.tolist()):
-            q = count + k
-            if fail.err[q] is not None:
-                fail.put(s, fail.err[q])
-            elif code[q] == _NONEXISTENT:
-                fail.put(s, EquilibriumError(
-                    f"cannot infer the y=0 branch: no interior equilibrium at y={_PROBE_Y:g}"))
-            zero_branch[s] = code[q] == 4
-        kappa_b = np.where(at0, np.where(zero_branch, 0.0, c.vol * c.d.delta_C * c.A),
-                           c.vol * c.d.delta_M * c.A)
+        # explicit limits: the sole owner holds the firm undiverted, and the
+        # Sharpe ratio takes the owner's delta (C at y = 0, M at y = 1)
+        delta = np.where(y == 0.0, c.d.delta_C, c.d.delta_M)
         code = np.where(boundary, _BOUNDARY, code)
         n_C = np.where(boundary, 1.0 - y, n_C)
         x = np.where(boundary, 0.0, x)
         sigma = np.where(boundary, c.A, sigma)
-        kappa = np.where(boundary, kappa_b, kappa)
+        kappa = np.where(boundary, c.vol * delta * c.A, kappa)
         r = _rate(c, n_C, x, kappa, sigma)
         mu = _mu(c, r, sigma, kappa, x)
-    return _finish(c, fail, count, code, n_C, x, sigma, kappa, r, mu, tests=(tables, cand[0], avail))
+    return _finish(c, fail, code, n_C, x, sigma, kappa, r, mu, tests=(tables, cand[0], avail))
 
 
 def _first(batch: _Batch) -> EquilibriumResult:
@@ -641,26 +620,19 @@ def benchmark_equilibrium(state: MarketState, params: ModelParams) -> Equilibriu
         raise ValueError("benchmark equilibrium requires y strictly inside (0, 1)")
     c, fail = _context(replace(params, p=1.0), state.y, state.Lambda, state.lambda_small)
     n_B = _n2(c)
-    return _first(_finish(c, fail, 1, np.full(1, 2), n_B, *_prices(c, n_B)))
+    return _first(_finish(c, fail, np.full(1, 2), n_B, *_prices(c, n_B)))
 
 
-def boundary_equilibrium(
-    state: MarketState, params: ModelParams, branch_hint: int | None = None
-) -> EquilibriumResult:
+def boundary_equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
     """Explicit equilibrium limits at y = 0 (n_C = 1) and y = 1 (n_C = 0).
 
-    At y = 0 with p < 1 the Sharpe ratio is two-valued: the protected branch
-    kappa = sqrt(2H) eps^h delta_C sigma(0) applies when the interior
-    equilibrium near 0 sits in Regions 1-3, and kappa = 0 when it sits in
-    Region 4.  ``branch_hint`` picks the branch directly (2 or 4); by default
-    the interior equilibrium at y = 1e-4 is solved and its region inherited.
+    The sole owner holds the firm undiverted: sigma is A at that y and kappa =
+    sqrt(2H) eps^h delta sigma, with delta = delta_C at y = 0 and delta_M at
+    y = 1 (one branch, as no interior equilibrium sits in Region 4).
     """
     if state.y not in (0.0, 1.0):
         raise ValueError("boundary equilibrium requires y exactly 0 or 1")
-    if branch_hint is not None and branch_hint not in (1, 2, 3, 4):
-        raise ValueError(f"branch_hint must be a region in 1..4, got {branch_hint!r}")
-    arrays = (np.array([v]) for v in (state.y, state.Lambda, state.lambda_small))
-    return _first(_solve(params, *arrays, branch_hint=branch_hint))
+    return equilibrium(state, params)
 
 
 @np.errstate(all="ignore")

@@ -273,6 +273,13 @@ def test_equilibrium_boundary_state(cfg, capsys):
     assert "n_C      = 1" in out.replace("  ", " ").replace("n_C  ", "n_C ") or "n_C" in out
 
 
+def test_equilibrium_boundary_without_interior_equilibrium_nearby(cfg, capsys):
+    # no interior state near y = 0 has an equilibrium at Lambda = -13, yet the
+    # boundary is an explicit limit and prices
+    assert main(["--config", str(cfg), "equilibrium", "--y", "0", "--Lambda", "-13"]) == 0
+    assert "region = boundary" in capsys.readouterr().out
+
+
 def test_equilibrium_nonexistence_reports_tables(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path / "noeq.cfg",

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -359,25 +360,30 @@ def test_boundary_y_zero_memoryless_reduction():
     assert b.sigma == p.sigma_D
 
 
-def test_boundary_branch_hint():
-    b4 = boundary_equilibrium(MarketState(0.0), BASE_PARAMS, branch_hint=4)
-    assert b4.kappa == 0.0
-    b2 = boundary_equilibrium(MarketState(0.0), BASE_PARAMS, branch_hint=2)
-    assert b2.kappa > 0.0
-    with pytest.raises(ValueError):
-        boundary_equilibrium(MarketState(0.0), BASE_PARAMS, branch_hint=7)
+def test_boundary_rejects_interior_y():
     with pytest.raises(ValueError):
         boundary_equilibrium(MarketState(0.5), BASE_PARAMS)
 
 
-def test_boundary_default_probes_interior_region():
-    # near y = 0 the baseline economy sits in Region 2, so the default branch
-    # matches branch_hint = 2
-    probe = equilibrium(MarketState(1e-4), BASE_PARAMS)
-    assert probe.region == 2
-    b = boundary_equilibrium(MarketState(0.0), BASE_PARAMS)
-    b2 = boundary_equilibrium(MarketState(0.0), BASE_PARAMS, branch_hint=2)
-    assert b.kappa == b2.kappa
+def test_boundary_y_zero_has_one_branch(monkeypatch):
+    # Region 4 is never self-consistent, so kappa(0) is the protected limit at
+    # every p and Lambda, Lambda = -13 included, where no interior state near
+    # y = 0 has an equilibrium
+    d = derive_constants(BASE_PARAMS)
+    sigma0 = BASE_PARAMS.sigma_D - (d.h / BASE_PARAMS.epsilon) * d.beta * d.theta_C
+    kappa0 = math.sqrt(2 * BASE_PARAMS.H) * BASE_PARAMS.epsilon**d.h * d.delta_C * sigma0
+    for p in (0.0, 0.6):
+        b = boundary_equilibrium(MarketState(0.0), replace(BASE_PARAMS, p=p))
+        assert math.isclose(b.kappa, kappa0, rel_tol=1e-14)
+    assert equilibrium(MarketState(1e-4, -13.0), BASE_PARAMS).region == "nonexistent"
+    b = equilibrium(MarketState(0.0, -13.0), BASE_PARAMS)
+    assert b.region == "boundary" and math.isclose(b.kappa, kappa0, rel_tol=1e-14)
+    # a scalar y = 0 solve is a batch of that one state
+    eqmod = importlib.import_module("fbmecon.equilibrium")
+    sizes, context = [], eqmod._context
+    monkeypatch.setattr(eqmod, "_context", lambda P, y, *a: sizes.append(len(y)) or context(P, y, *a))
+    equilibrium(MarketState(0.0), BASE_PARAMS)
+    assert sizes == [1]
 
 
 def test_equilibrium_routes_boundaries():

@@ -97,6 +97,38 @@ def test_batch_matches_oracle_property(y, p, L, lam):
     assert_same(got, want, 1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    y=st.floats(0.01, 0.99),
+    p=st.floats(0.0, 0.99),
+    k=st.floats(0.5, 20.0),
+    beta1=st.floats(0.0, 0.5),
+    L=st.floats(-10.0, 10.0),
+    lam=st.sampled_from([0.0, 0.4]),
+)
+def test_region_four_is_never_self_consistent(y, p, k, beta1, L, lam):
+    # under Region-4 prices (kappa = x = 0) the kink beats full ownership by
+    # x3 (1 - n3) D/W_C / 2 + K (1 - n3^2), K = H eps^(2h) delta_C (S/W_C sigma_4)^2,
+    # which is why the y = 0 boundary needs no interior solve
+    params = replace(BASE_PARAMS, p=p, k=k, beta1=beta1)
+    res = equilibrium_batch(y, L, lam, params)[0]
+    if isinstance(res, Exception):
+        return
+    d = derive_constants(params)
+    eps = params.epsilon
+    A = params.sigma_D - (d.h / eps) * d.beta * (d.theta_C * (1.0 - y) + d.theta_M * y)
+    qC, qM = res.c_coeff_C, res.c_coeff_M
+    sigma4 = A / (qC * ((1.0 - y) / qC + y / qM))
+    K = params.H * eps ** (2.0 * d.h) * d.delta_C * (res.S_over_WC * sigma4) ** 2
+    n3 = res.candidates[2]
+    x3 = min((1.0 - n3) / k, (1.0 - p) * n3)
+    J3, J4 = res.J_tables[4][2], res.J_tables[4][3]
+    assert J3 - J4 > 0.0
+    gap = 0.5 * x3 * (1.0 - n3) * res.D_over_WC + K * (1.0 - n3 * n3)
+    assert abs((J3 - J4) - gap) <= 1e-12 * (abs(J3) + abs(J4))
+    assert res.region != 4
+
+
 # ---------------------------------------------------------------------------
 # The Region-1 root helper
 
@@ -292,7 +324,7 @@ def _outcome(res) -> str:
 @pytest.mark.parametrize("params", [BASE_PARAMS, NOEQ, replace(BASE_PARAMS, p=1.0), SYMMETRIC],
                          ids=["base", "noeq", "full-protection", "symmetric"])
 def test_scalar_is_the_batch_bitwise(params):
-    # interior states; y = 0 (the y = 1e-4 probe joins the batch), 1 and 1e-9;
+    # interior states; y = 0, 1 and 1e-9;
     # under NOEQ, nonexistent states at Lambda = 53 and, at Lambda = -10 and
     # y in {0.99, 0.995}, states with three roots in [0, 1]; failures at
     # Lambda = +-1e4; SYMMETRIC has qC = qM, so its cubic is linear
