@@ -37,12 +37,9 @@ for eps in (1e-5, 0.1):
 
 print()
 print("On a simulated noisy path the recovery tracks the quadrature oracle:")
-from fbmecon import memory_exact, simulate_brownian, simulate_output
+from fbmecon import simulate_bundle
 
-dw_fine = simulate_brownian(grid.refined(64), seed=11)
-lam, _ = memory_exact(grid, dw_fine, BASE_PARAMS, refine=64)
-dw = dw_fine.reshape(grid.N, 64).sum(axis=1)
-Z, _ = simulate_output(grid, dw, lam, BASE_PARAMS)
-est = estimate_memory(Z, grid, BASE_PARAMS)
-err = np.max(np.abs(est.Lambda_hat - lam))
+bundle = simulate_bundle(grid, BASE_PARAMS, seed=11, refine=64)
+est = estimate_memory(bundle.Z, grid, BASE_PARAMS)
+err = np.max(np.abs(est.Lambda_hat - bundle.Lambda))
 print(f"sup |Lambda_hat - Lambda| = {err:.4f} at dt = {grid.dt}")

@@ -25,7 +25,6 @@ from .equilibrium import (
 )
 from .estimator import (
     ConvergenceReport,
-    EulerReference,
     MemoryEstimate,
     classify_memory,
     convergence_study,
@@ -59,7 +58,6 @@ __all__ = [
     "DerivedParams",
     "EquilibriumError",
     "EquilibriumResult",
-    "EulerReference",
     "MarketState",
     "MemoryEstimate",
     "ModelParams",

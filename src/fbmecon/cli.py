@@ -176,8 +176,6 @@ def _print_equilibrium_block(res) -> None:
 
 def _cmd_equilibrium(args) -> int:
     rc = _load_run_config(args)
-    if args.y is None:
-        raise ValueError("equilibrium needs --y")
     params = rc.params if args.p is None else replace(rc.params, p=args.p)
     state = MarketState(args.y, args.Lambda, args.lam)
     _log(f"equilibrium: y={args.y:g} p={params.p:g} Lambda={args.Lambda:g}")

@@ -28,7 +28,8 @@ of the recovered increments.
 The sup-norm error of the scheme against the exact memory decays pathwise
 like dt^(1/6 - e) for every e > 0, with a path-dependent constant; the decay
 and an empirical rate floor are what :func:`convergence_study` measures
-(the constant itself is not reproducible).
+(the constant itself is not reproducible); its reference is the
+:class:`~fbmecon.paths.PathBundle` that :func:`euler_reference` builds.
 """
 
 from __future__ import annotations
@@ -39,19 +40,19 @@ import numpy as np
 
 from .params import ModelParams, validate
 from .paths import (
+    PathBundle,
     TimeGrid,
     _LagWeights,
+    _bundle,
     _causal_convolve,
     _kernel,
     _step_coefficients,
     memory_exact,
     simulate_brownian,
-    simulate_output,
 )
 
 __all__ = [
     "MemoryEstimate",
-    "EulerReference",
     "ConvergenceReport",
     "estimate_memory",
     "euler_reference",
@@ -136,35 +137,25 @@ def classify_memory(Lambda_terminal: float) -> str:
     return "good" if Lambda_terminal > 0 else "bad"
 
 
-@dataclass
-class EulerReference:
-    """Euler reference paths built from *true* Brownian increments.
+def euler_reference(dw: np.ndarray, grid: TimeGrid, params: ModelParams) -> PathBundle:
+    """The Euler reference path that known increments drive on the grid.
 
-    Lambda_tilde / lambda_tilde are the kernel sums over the given
-    increments; Q steps the output recursion with Lambda_tilde at the left
-    node.
-    """
-
-    grid: TimeGrid
-    Lambda_tilde: np.ndarray
-    lambda_tilde: np.ndarray
-    Q: np.ndarray
-
-
-def euler_reference(dw: np.ndarray, grid: TimeGrid, params: ModelParams) -> EulerReference:
-    """Kernel sums and the Euler output path from known increments.
-
+    In the paper's notation the kernel sums over the given increments are
+    Lambda-tilde (``Lambda``) and lambda-tilde (``lambda_small``), and the
+    output path stepped with Lambda-tilde at the left node is Q (``Z``).
     These are the reference schemes the recovery recursion is measured
-    against: feeding Q back through :func:`estimate_memory` returns the
-    original increments (and hence Lambda_tilde, lambda_tilde) exactly up to
+    against: feeding Z back through :func:`estimate_memory` returns the
+    original increments (and hence Lambda, lambda_small) exactly up to
     rounding, by induction from the shared zero initial condition.
+
+    Raises:
+        ValueError: on a wrong shape of dw or invalid parameters (see :func:`validate`).
     """
     dw = np.asarray(dw, dtype=float)
     if dw.shape != (grid.N,):
         raise ValueError(f"expected {grid.N} increments, got shape {dw.shape}")
-    lam_big, lam_small = memory_exact(grid, dw, params)
-    Q, _ = simulate_output(grid, dw, lam_big, params)
-    return EulerReference(grid=grid, Lambda_tilde=lam_big, lambda_tilde=lam_small, Q=Q)
+    validate(params)
+    return _bundle(grid, dw, params, 1, 1.0)
 
 
 @dataclass
@@ -209,8 +200,8 @@ def convergence_study(
     the rate is the least-squares slope of log median error against log dt.
 
     Raises:
-        ValueError: if a factor does not divide N_fine, or fewer than two
-            non-degenerate factors remain for the fit.
+        ValueError: if a factor does not divide N_fine, fewer than two
+            non-degenerate factors remain for the fit, or params are invalid.
     """
     # largest factor (coarsest grid, largest dt) first: dt_values strictly decreasing
     factors = sorted({int(f) for f in coarse_factors}, reverse=True)
@@ -230,9 +221,9 @@ def convergence_study(
         ref = euler_reference(dw, fine, params)
         for j, f in enumerate(factors):
             coarse = TimeGrid(T, N_fine // f)
-            est = estimate_memory(ref.Q[::f], coarse, params)
-            err_L[i, j] = np.max(np.abs(est.Lambda_hat - ref.Lambda_tilde[::f]))
-            err_l[i, j] = np.max(np.abs(est.lambda_hat - ref.lambda_tilde[::f]))
+            est = estimate_memory(ref.Z[::f], coarse, params)
+            err_L[i, j] = np.max(np.abs(est.Lambda_hat - ref.Lambda[::f]))
+            err_l[i, j] = np.max(np.abs(est.lambda_hat - ref.lambda_small[::f]))
 
     med_L = np.median(err_L, axis=0)
     med_l = np.median(err_l, axis=0)

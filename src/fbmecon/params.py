@@ -104,7 +104,7 @@ class DerivedParams:
 
     h = H - 1/2; delta_i = 1 - alpha_i (1 - gamma_i) > 0;
     theta_i = 1 - gamma_i / delta_i <= 0 (zero exactly when alpha_i = 1);
-    beta = beta1 - beta2 and beta_i = beta * theta_i.
+    beta = beta1 - beta2.
     """
 
     h: float
@@ -113,8 +113,6 @@ class DerivedParams:
     theta_C: float
     theta_M: float
     beta: float
-    beta_C: float
-    beta_M: float
 
 
 def _domain_errors(q: ModelParams) -> list[str]:
@@ -186,18 +184,13 @@ def derive_constants(params: ModelParams) -> DerivedParams:
     """Evaluate the composite constants. Pure and deterministic."""
     delta_C = 1.0 - params.alpha_C * (1.0 - params.gamma_C)
     delta_M = 1.0 - params.alpha_M * (1.0 - params.gamma_M)
-    theta_C = 1.0 - params.gamma_C / delta_C
-    theta_M = 1.0 - params.gamma_M / delta_M
-    beta = params.beta1 - params.beta2
     return DerivedParams(
         h=params.H - 0.5,
         delta_C=delta_C,
         delta_M=delta_M,
-        theta_C=theta_C,
-        theta_M=theta_M,
-        beta=beta,
-        beta_C=beta * theta_C,
-        beta_M=beta * theta_M,
+        theta_C=1.0 - params.gamma_C / delta_C,
+        theta_M=1.0 - params.gamma_M / delta_M,
+        beta=params.beta,
     )
 
 

@@ -263,7 +263,7 @@ def simulate_output(
 
 @dataclass
 class PathBundle:
-    """One simulated economy path on a uniform grid.
+    """One economy path on a uniform grid, driven by Brownian increments.
 
     Levels (w, Lambda, lambda_small, Z, D_hat) have length N + 1 and
     increments (dw) length N; w[0] = Lambda[0] = lambda_small[0] = 0.  With
@@ -271,13 +271,28 @@ class PathBundle:
     """
 
     grid: TimeGrid
-    seed: int
     dw: np.ndarray
     w: np.ndarray
     Lambda: np.ndarray
     lambda_small: np.ndarray
     Z: np.ndarray
     D_hat: np.ndarray
+
+
+def _bundle(
+    grid: TimeGrid, dw_fine: np.ndarray, params: ModelParams, refine: int, D0: float
+) -> PathBundle:
+    """The path that grid.N * refine given increments drive on the refined grid.
+
+    The memory processes are the quadrature sums of the fine increments at
+    the coarse nodes, the coarse increments are the fine ones aggregated,
+    and Z follows the Euler output recursion driven by that memory.
+    """
+    lam_big, lam_small = memory_exact(grid, dw_fine, params, refine=refine)
+    dw = dw_fine.reshape(grid.N, refine).sum(axis=1) if refine > 1 else dw_fine
+    w = np.concatenate(([0.0], np.cumsum(dw)))
+    Z, D_hat = simulate_output(grid, dw, lam_big, params, D0=D0)
+    return PathBundle(grid, dw, w, lam_big, lam_small, Z, D_hat)
 
 
 def simulate_bundle(
@@ -289,29 +304,14 @@ def simulate_bundle(
 ) -> PathBundle:
     """Simulate Brownian noise, memory, and output on one grid.
 
-    The Brownian path is drawn on a refine-fold finer grid; the memory
-    processes are its quadrature sums at the coarse nodes and the coarse
-    increments are the fine ones aggregated, so the bundle's Z follows the
-    Euler output recursion driven by oracle-quality memory.  refine = 64
-    keeps the quadrature error negligible at typical grid steps.
+    The Brownian path is drawn on a refine-fold finer grid and drives the
+    path as in :func:`_bundle`, so the bundle's Z follows the Euler output
+    recursion driven by oracle-quality memory.  refine = 64 keeps the
+    quadrature error negligible at typical grid steps.
 
     Raises:
         ValueError: if the parameters are invalid (see :func:`validate`).
     """
     validate(params)
     refine = int(refine)
-    dw_fine = simulate_brownian(grid.refined(refine), seed)
-    lam_big, lam_small = memory_exact(grid, dw_fine, params, refine=refine)
-    dw = dw_fine.reshape(grid.N, refine).sum(axis=1) if refine > 1 else dw_fine
-    w = np.concatenate(([0.0], np.cumsum(dw)))
-    Z, D_hat = simulate_output(grid, dw, lam_big, params, D0=D0)
-    return PathBundle(
-        grid=grid,
-        seed=int(seed),
-        dw=dw,
-        w=w,
-        Lambda=lam_big,
-        lambda_small=lam_small,
-        Z=Z,
-        D_hat=D_hat,
-    )
+    return _bundle(grid, simulate_brownian(grid.refined(refine), seed), params, refine, D0)

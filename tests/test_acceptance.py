@@ -215,11 +215,11 @@ def test_criterion05_roundtrip_exactness():
         grid = TimeGrid(1.0, n_steps)
         dw = simulate_brownian(grid, seed)
         ref = euler_reference(dw, grid, BASE_PARAMS)
-        est = estimate_memory(ref.Q, grid, BASE_PARAMS)
+        est = estimate_memory(ref.Z, grid, BASE_PARAMS)
         scale = max(1.0, float(np.max(np.abs(dw))))
         assert np.max(np.abs(est.dw_hat - dw)) <= 1e-10 * scale
-        assert np.max(np.abs(est.Lambda_hat - ref.Lambda_tilde)) <= 1e-10 * scale
-        assert np.max(np.abs(est.lambda_hat - ref.lambda_tilde)) <= 1e-10 * scale
+        assert np.max(np.abs(est.Lambda_hat - ref.Lambda)) <= 1e-10 * scale
+        assert np.max(np.abs(est.lambda_hat - ref.lambda_small)) <= 1e-10 * scale
     assert time.monotonic() - t0 < 10.0
 
 

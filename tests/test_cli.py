@@ -469,6 +469,40 @@ def test_usage_error_exits_one(capsys):
     assert main(["no-such-command"]) == 1
 
 
+# (raw lines appended to the config {tmp}/run.cfg, argv, the error line); {tmp}
+# is the test's temporary directory, where one.csv holds one t,Z data row
+RUN = ["--config", "{tmp}/run.cfg"]
+SWEEP = RUN + ["--out", "{tmp}/s.csv", "sweep"]
+CLI_ERRORS = [
+    pytest.param("p_list = 1,x", SWEEP,
+                 "config key p_list is not a comma-separated number list: '1,x'", id="p_list-junk"),
+    pytest.param("p_list = ,", SWEEP, "config key p_list is empty", id="p_list-empty"),
+    pytest.param("y_step = 0", SWEEP, "y_step must be positive", id="y_step-zero"),
+    pytest.param("y_start = 1\ny_stop = 0", SWEEP, "empty y grid", id="y-grid-empty"),
+    pytest.param("", ["--config", "{tmp}/none.cfg", "simulate"],
+                 "cannot read config: [Errno 2] No such file or directory: '{tmp}/none.cfg'",
+                 id="config-missing"),
+    pytest.param("", RUN + ["simulate"], "--out PATH is required for this command", id="out-missing"),
+    pytest.param("", RUN + ["estimate", ""], "estimate needs an input CSV with columns t,Z",
+                 id="input-empty"),
+    pytest.param("", RUN + ["estimate", "{tmp}/none.csv"],
+                 "cannot read input: [Errno 2] No such file or directory: '{tmp}/none.csv'",
+                 id="input-missing"),
+    pytest.param("", RUN + ["estimate", "{tmp}/one.csv"],
+                 "{tmp}/one.csv: need at least two samples, got 1", id="input-one-row"),
+]
+
+
+@pytest.mark.parametrize("lines,argv,message", CLI_ERRORS)
+def test_validation_error_lines(tmp_path, capsys, lines, argv, message):
+    cfg = write_cfg(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text(encoding="utf-8") + lines + "\n", encoding="utf-8")
+    (tmp_path / "one.csv").write_text("t,Z\n0,0\n", encoding="utf-8")
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+    expected = "error: " + message.replace("{tmp}", str(tmp_path))
+    assert assert_one_error_line(capsys.readouterr().err) == expected
+
+
 def test_console_entry_point():
     # the script pyproject declares resolves to cli.entry, which python -m
     # fbmecon runs; the help text lists the subcommands

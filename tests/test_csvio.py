@@ -70,7 +70,7 @@ def test_special_values_match_oracle(tmp_path, N):
         return np.roll(np.resize(SPECIAL, n), shift)
 
     grid = TimeGrid(1.0, N)
-    bundle = PathBundle(grid=grid, seed=0, dw=column(N, 0), w=column(N + 1, 1),
+    bundle = PathBundle(grid=grid, dw=column(N, 0), w=column(N + 1, 1),
                         Lambda=column(N + 1, 2), lambda_small=column(N + 1, 3),
                         Z=column(N + 1, 4), D_hat=column(N + 1, 5))
     assert same_bytes(tmp_path, write_path_csv, csv_oracle.write_path_csv, bundle)

@@ -95,13 +95,13 @@ def test_candidates_regression_pins():
 
 def exponential_reference(state, params, n_C, x):
     """All equilibrium price formulas written directly in their
-    exponential-family form (beta_C, beta_M exponents), as an independent
+    exponential-family form (beta theta_C, beta theta_M exponents), as an independent
     oracle for the package's form in the ratio varphi = exp(beta Lambda)
     (varphi**theta_i, log-derivatives beta and beta^2)."""
     d = derive_constants(params)
     y, L, lam = state.y, state.Lambda, state.lambda_small
     H, eps, sD = params.H, params.epsilon, params.sigma_D
-    h, bC, bM = d.h, d.beta_C, d.beta_M
+    h, bC, bM = d.h, d.beta * d.theta_C, d.beta * d.theta_M
     b = d.beta
     rho, k, lC, lM = params.rho, params.k, params.l_C, params.l_M
     net = 1.0 - lC - lM
@@ -218,6 +218,12 @@ def test_benchmark_holding_closed_form():
     # frozen against a 40-digit evaluation of the closed form
     b = benchmark_equilibrium(MarketState(0.5), BASE_PARAMS)
     assert math.isclose(b.n_C, 0.6939768385893154, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("y", [0.0, 1.0])
+def test_benchmark_rejects_boundary_y(y):
+    with pytest.raises(ValueError, match=r"^benchmark equilibrium requires y strictly inside \(0, 1\)$"):
+        benchmark_equilibrium(MarketState(y, 0.0), BASE_PARAMS)
 
 
 def test_benchmark_identical_preferences():
@@ -348,7 +354,7 @@ def test_boundary_y_zero_full_protection():
     kappa0 = math.sqrt(2 * BASE_PARAMS.H) * BASE_PARAMS.epsilon**d.h * d.delta_C * sigma0
     assert math.isclose(b.kappa, kappa0, rel_tol=1e-14)
     # mu_y(0) reduces to the labor term of the minority shareholder
-    varphi_tM = math.exp(d.beta_M * 0.7)
+    varphi_tM = math.exp(d.beta * d.theta_M * 0.7)
     qM = BASE_PARAMS.rho ** (1 / d.delta_M) * varphi_tM
     assert math.isclose(b.mu_y, BASE_PARAMS.l_M * qM, rel_tol=1e-13)
     assert b.sigma_y == 0.0
@@ -420,7 +426,7 @@ def test_differences_match_direct_solves(y, L):
     # excess concentration lowers the Sharpe ratio while A > 0
     d = derive_constants(BASE_PARAMS)
     A = BASE_PARAMS.sigma_D - (d.h / BASE_PARAMS.epsilon) * (
-        d.beta_C * (1 - y) + d.beta_M * y
+        d.beta * d.theta_C * (1 - y) + d.beta * d.theta_M * y
     )
     assert A > 0
     assert math.copysign(1.0, dk) == -math.copysign(1.0, eq.n_C - bench.n_C)

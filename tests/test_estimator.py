@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,11 +30,11 @@ def test_roundtrip_recovers_increments(H, seed):
     grid = TimeGrid(1.0, 512)
     dw = simulate_brownian(grid, seed)
     ref = euler_reference(dw, grid, params)
-    est = estimate_memory(ref.Q, grid, params)
+    est = estimate_memory(ref.Z, grid, params)
     scale = max(1.0, float(np.max(np.abs(dw))))
     assert np.max(np.abs(est.dw_hat - dw)) <= 1e-10 * scale
-    assert np.max(np.abs(est.Lambda_hat - ref.Lambda_tilde)) <= 1e-10 * scale
-    assert np.max(np.abs(est.lambda_hat - ref.lambda_tilde)) <= 1e-10 * scale
+    assert np.max(np.abs(est.Lambda_hat - ref.Lambda)) <= 1e-10 * scale
+    assert np.max(np.abs(est.lambda_hat - ref.lambda_small)) <= 1e-10 * scale
 
 
 def test_roundtrip_at_a_million_steps():
@@ -43,11 +44,11 @@ def test_roundtrip_at_a_million_steps():
     grid = TimeGrid(1.0, 1 << 20)
     dw = simulate_brownian(grid, 2020)
     ref = euler_reference(dw, grid, BASE_PARAMS)
-    est = estimate_memory(ref.Q, grid, BASE_PARAMS)
+    est = estimate_memory(ref.Z, grid, BASE_PARAMS)
     scale = max(1.0, float(np.max(np.abs(dw))))
     assert np.max(np.abs(est.dw_hat - dw)) <= 1e-10 * scale
-    assert np.max(np.abs(est.Lambda_hat - ref.Lambda_tilde)) <= 1e-10 * scale
-    assert np.max(np.abs(est.lambda_hat - ref.lambda_tilde)) <= 1e-10 * scale
+    assert np.max(np.abs(est.Lambda_hat - ref.Lambda)) <= 1e-10 * scale
+    assert np.max(np.abs(est.lambda_hat - ref.lambda_small)) <= 1e-10 * scale
     assert time.monotonic() - t0 <= 60.0
 
 
@@ -70,7 +71,7 @@ def test_recovered_memory_is_kernel_sums_of_recovered_increments(H):
     params = replace(BASE_PARAMS, H=H)
     grid = TimeGrid(1.0, 300)
     ref = euler_reference(simulate_brownian(grid, 4), grid, params)
-    est = estimate_memory(ref.Q, grid, params)
+    est = estimate_memory(ref.Z, grid, params)
     for order, got in ((1, est.Lambda_hat), (2, est.lambda_hat)):
         direct = kernel_sums(est.dw_hat, grid.dt, params.epsilon, *_kernel(params, order))
         assert np.array_equal(got, direct)
@@ -107,22 +108,39 @@ def test_euler_reference_matches_memory_exact_bitwise():
     dw = simulate_brownian(grid, 21)
     ref = euler_reference(dw, grid, BASE_PARAMS)
     big, small = memory_exact(grid, dw, BASE_PARAMS, refine=1)
-    assert np.array_equal(ref.Lambda_tilde, big)
-    assert np.array_equal(ref.lambda_tilde, small)
+    assert np.array_equal(ref.Lambda, big)
+    assert np.array_equal(ref.lambda_small, small)
 
 
 def test_euler_reference_zero_noise():
     params = BASE_PARAMS
     grid = TimeGrid(1.0, 128)
     ref = euler_reference(np.zeros(grid.N), grid, params)
-    assert np.all(ref.Lambda_tilde == 0.0)
+    assert np.all(ref.Lambda == 0.0)
     h = params.H - 0.5
     drift = params.mu_D - params.H * params.epsilon ** (2 * h) * params.sigma_D**2
-    assert np.allclose(ref.Q, drift * grid.nodes(), rtol=1e-13, atol=1e-18)
+    assert np.allclose(ref.Z, drift * grid.nodes(), rtol=1e-13, atol=1e-18)
+
+
+def test_euler_reference_rejects_wrong_shape():
+    with pytest.raises(ValueError, match=r"^expected 8 increments, got shape \(7,\)$"):
+        euler_reference(np.zeros(7), TimeGrid(1.0, 8), BASE_PARAMS)
+
+
+def test_euler_reference_validates_parameters():
+    # the gate fires before any kernel is evaluated: no sqrt of a negative H
+    bad = replace(BASE_PARAMS, H=-0.5)
+    message = r"^invalid parameters: H must lie in \(0, 1\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            euler_reference(np.full(8, 0.1), TimeGrid(1.0, 8), bad)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(bad, 1.0, 64, (2, 4), 1)
 
 
 def test_euler_variance_discrete_sum():
-    # Var[Lambda_tilde_T] equals the exact discrete Gaussian variance
+    # Var[Lambda_T] of the Euler reference equals the exact discrete Gaussian variance
     params = BASE_PARAMS
     grid = TimeGrid(1.0, 256)
     h = params.H - 0.5
@@ -134,7 +152,7 @@ def test_euler_variance_discrete_sum():
     dws = rng.standard_normal((nsim, grid.N)) * math.sqrt(grid.dt)
     ref0 = euler_reference(dws[0], grid, params)
     samples = dws @ w
-    assert math.isclose(samples[0], ref0.Lambda_tilde[-1], rel_tol=1e-12)
+    assert math.isclose(samples[0], ref0.Lambda[-1], rel_tol=1e-12)
     se = exact_var * math.sqrt(2.0 / (nsim - 1))
     assert abs(samples.var(ddof=1) - exact_var) <= 4.0 * se
 
@@ -172,7 +190,7 @@ def test_kernel_sign_convention():
     for H, sign in ((0.65, 1.0), (0.35, -1.0)):
         params = replace(BASE_PARAMS, H=H)
         ref = euler_reference(dw, grid, params)
-        est = estimate_memory(ref.Q, grid, params)
+        est = estimate_memory(ref.Z, grid, params)
         assert np.all(sign * est.Lambda_hat[1:] > 0)
         h = H - 0.5
         weights = math.sqrt(2 * H) * h * (grid.dt * np.arange(1, grid.N + 1)

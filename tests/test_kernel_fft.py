@@ -80,8 +80,8 @@ def test_strided_kernel_sums_across_blocks(H, eps):
 def _assert_recovery_matches_loop(params, n_steps, seed):
     grid = TimeGrid(1.0, n_steps)
     ref = euler_reference(simulate_brownian(grid, seed), grid, params)
-    est = estimate_memory(ref.Q, grid, params)
-    dw_seq, lam_seq = recover_sequential(ref.Q, grid.dt, params)
+    est = estimate_memory(ref.Z, grid, params)
+    dw_seq, lam_seq = recover_sequential(ref.Z, grid.dt, params)
     assert np.max(np.abs(est.dw_hat - dw_seq)) <= RECOVERY_RTOL * np.max(np.abs(dw_seq))
     assert np.max(np.abs(est.Lambda_hat - lam_seq)) <= RECOVERY_RTOL * max(np.max(np.abs(lam_seq)), 1e-300)
 

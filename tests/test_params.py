@@ -32,8 +32,6 @@ def test_derived_constants_frozen_examples():
     assert math.isclose(d.theta_M, -5.0 / 23.0, rel_tol=1e-15)
     assert d.h == BASE_PARAMS.H - 0.5
     assert d.beta == 0.1
-    assert d.beta_C == 0.1 * d.theta_C
-    assert d.beta_M == 0.1 * d.theta_M
 
 
 def test_alpha_one_kills_theta():
@@ -89,6 +87,22 @@ def test_derived_invariants_property(gamma_C, bump, alpha_C, alpha_M):
 )
 def test_validation_errors(field, value, fragment):
     with pytest.raises(ValueError, match=r"^invalid parameters: .*" + re.escape(fragment)):
+        validate(replace(BASE_PARAMS, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field,value,fragment",
+    [
+        ("gamma_M", 1.0, "gamma_M must exceed 1"),
+        ("alpha_C", 0.0, "alpha_C must lie in (0, 1]"),
+        ("alpha_M", 1.5, "alpha_M must lie in (0, 1]"),
+        ("rho", 0.0, "rho must be positive"),
+        ("l_C", -0.1, "labor shares must be nonnegative"),
+        ("beta1", -0.1, "beta1 and beta2 must be nonnegative"),
+    ],
+)
+def test_validation_errors_of_every_domain_check(field, value, fragment):
+    with pytest.raises(ValueError, match=r"^invalid parameters: (.*; )?" + re.escape(fragment)):
         validate(replace(BASE_PARAMS, **{field: value}))
 
 

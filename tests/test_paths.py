@@ -51,6 +51,11 @@ def test_grid_rejects_bad_inputs():
         TimeGrid(1.0, 0)
 
 
+def test_grid_rejects_zero_refinement():
+    with pytest.raises(ValueError, match=r"^refinement factor must be >= 1$"):
+        TimeGrid(1.0, 10).refined(0)
+
+
 # ---------------------------------------------------------------------------
 # Brownian increments
 
@@ -88,6 +93,11 @@ def test_kernel_sums_stride_matches_plain():
     big_f, small_f = memory_exact(fine, dw, BASE_PARAMS, refine=1)
     assert np.array_equal(big, big_f[::4])
     assert np.array_equal(small, small_f[::4])
+
+
+def test_kernel_sums_rejects_partial_stride():
+    with pytest.raises(ValueError, match=r"^len\(dw\) = 5 is not a multiple of stride 2$"):
+        kernel_sums(np.zeros(5), 0.1, 0.1, 1.0, -0.5, stride=2)
 
 
 def test_memory_refinement_mismatch():
@@ -209,6 +219,14 @@ def test_output_rejects_nonfinite():
     grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError):
         simulate_output(grid, np.array([0.0, np.nan, 0.0, 0.0]), np.zeros(5), BASE_PARAMS)
+
+
+def test_output_rejects_short_inputs():
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(ValueError, match=r"^expected 4 increments, got 3$"):
+        simulate_output(grid, np.zeros(3), np.zeros(5), BASE_PARAMS)
+    with pytest.raises(ValueError, match=r"^Lambda must cover every left node of the grid$"):
+        simulate_output(grid, np.zeros(4), np.zeros(3), BASE_PARAMS)
 
 
 def test_output_terminal_mean():

@@ -1,0 +1,114 @@
+"""Print a digest of the command line's outputs, one line per call and per file.
+
+A fixed list of ``fbmecon.cli.main`` calls runs in-process, each writing into
+its own folder of one temporary directory: a simulation, the recovery of its
+path, a convergence study, ``sweep --figures`` on the benchmark grid and on a
+grid of edge values, single states at both boundaries and inside, a
+calibration with no equilibrium, and three runs that fail validation.  Each
+call gives the line ``label exit=<code> stdout=<sha256> stderr=<sha256>``
+and each file it wrote the line ``label/file <sha256>``; the temporary path
+is masked in the captured text.  The lines are printed sorted.  Run it on two
+versions of the package and diff the outputs to see which outputs a change
+alters:
+
+    PYTHONPATH=src python tools/cli_digest.py > new.txt
+    PYTHONPATH=<other checkout>/src python tools/cli_digest.py > old.txt
+    diff old.txt new.txt
+
+It takes no options; it needs only numpy and the standard library.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+from fbmecon import BASE_PARAMS, ModelParams, cli
+
+BENCH_GRID = {"y_start": 0.0, "y_stop": 1.0, "y_step": 0.01,
+              "p_list": "1,0.9,0.6,0.3,0", "Lambda_list": "-5,0,5"}
+EDGE_GRID = {"p_list": "1,0.9,0.6,0.3,0,2,nan,-0.0",
+             "Lambda_list": "1e4,-1e4,5,-5,0,700,nan,-0.0,53", "y_step": 0.25}
+# the calibration of demos/03_equilibrium_tour.py under which no region is self-consistent
+NO_EQUILIBRIUM = ModelParams(
+    mu_D=0.015, sigma_D=0.01, H=0.5, epsilon=0.1, gamma_C=3.0, gamma_M=3.0,
+    alpha_C=1.0, alpha_M=1.0, rho=0.01, k=2.0, p=0.5, l_C=0.0, l_M=0.0, beta1=0.1,
+)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_config(path: Path, params: ModelParams = BASE_PARAMS, **extra) -> str:
+    lines = [f"{f.name} = {getattr(params, f.name)!r}" for f in dataclasses.fields(params)]
+    lines += [f"{k} = {v}" for k, v in extra.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def calls(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every call, in the order they run; {out} is the call's folder."""
+    base = write_config(tmp / "base.cfg", N=2000, refine=8)
+    bench = write_config(tmp / "bench.cfg", **BENCH_GRID)
+    edge = write_config(tmp / "edge.cfg", **EDGE_GRID)
+    none = write_config(tmp / "none.cfg", NO_EQUILIBRIUM)
+    bad_rho = write_config(tmp / "bad_rho.cfg", dataclasses.replace(BASE_PARAMS, rho=-1.0))
+    bad_list = write_config(tmp / "bad_list.cfg", p_list="1,x")
+    paths_csv = str(tmp / "simulate" / "paths.csv")
+    out = [
+        ("simulate", ["--config", base, "--seed", "3", "--out", paths_csv, "simulate"]),
+        ("estimate", ["--config", base, "--out", "{out}/memory.csv", "estimate", paths_csv,
+                      "--summary"]),
+        ("convergence", ["--config", base, "--out", "{out}/convergence.csv", "convergence",
+                         "--n-fine", "4096", "--factors", "4,8,16", "--seeds", "3"]),
+        ("sweep_bench", ["--config", bench, "--out", "{out}/sweep.csv", "sweep",
+                         "--figures", "{out}/figures"]),
+        ("sweep_edge", ["--config", edge, "--out", "{out}/sweep.csv", "sweep",
+                        "--figures", "{out}/figures"]),
+    ]
+    for y in ("0", "0.5", "0.9", "1"):
+        for L in ("0", "-13"):
+            argv = ["equilibrium", "--y", y, f"--Lambda={L}"]
+            out.append((f"equilibrium_y{y}_L{L}", ["--config", base, *argv]))
+            out.append((f"equilibrium_y{y}_L{L}_out",
+                        ["--config", base, "--out", "{out}/state.csv", *argv]))
+    out += [
+        ("equilibrium_none", ["--config", none, "equilibrium", "--y", "0.5"]),
+        ("error_rho", ["--config", bad_rho, "equilibrium", "--y", "0.5"]),
+        ("error_no_out", ["--config", base, "simulate"]),
+        ("error_p_list", ["--config", bad_list, "--out", "{out}/sweep.csv", "sweep"]),
+    ]
+    return out
+
+
+def run(tmp: Path, label: str, argv: list[str]) -> list[str]:
+    folder = tmp / label
+    folder.mkdir(exist_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([a.replace("{out}", str(folder)) for a in argv])
+    masked = [s.getvalue().replace(str(tmp), "<tmp>").encode() for s in (stdout, stderr)]
+    lines = [f"{label} exit={code} stdout={sha(masked[0])} stderr={sha(masked[1])}"]
+    for path in sorted(p for p in folder.rglob("*") if p.is_file()):
+        lines.append(f"{label}/{path.relative_to(folder).as_posix()} {sha(path.read_bytes())}")
+    return lines
+
+
+def main() -> None:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name).resolve()
+        os.chdir(tmp)
+        try:
+            lines = [line for label, argv in calls(tmp) for line in run(tmp, label, argv)]
+        finally:
+            os.chdir(cwd)
+    print("\n".join(sorted(lines)))
+
+
+if __name__ == "__main__":
+    main()
