@@ -3,8 +3,12 @@
 All files are UTF-8, comma-separated, with a mandatory header row and "\\n"
 line endings; the last row's line ending is required too, so an input file
 cut inside its last row is rejected.  Floats are printed with 17 significant
-digits so every value round-trips losslessly, node tables and sweep rows a
-block at a time with the bytes of a cell-by-cell writer.  Increments (dw,
+digits so every value round-trips losslessly.  Every table's float cells go
+through one numpy formatter, ``_rows_text``, a block of rows at a time; its
+text is byte for byte that of ``"%.17g" %`` applied cell by cell.  Cells
+with 1e-6 <= |x| < 1e17, and 0, are printed from exact integer arithmetic;
+the rest (nan, +-inf, subnormals, |x| < 1e-6 or >= 1e17) by ``"%.17g" %``
+itself, as are single labels (:func:`fmt`).  Increments (dw,
 dw_hat) sit on the row of their right endpoint, leaving an empty cell at t_0.
 The sweep writer formats the columns of the solver's per-p batches, and the
 figure writer pivots the cells it formatted, so a figure cell is the sweep
@@ -40,7 +44,7 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-_BLOCK = 4096  # node rows formatted at a time
+_BLOCK = 1024  # rows formatted at a time
 
 
 def _write_table(path, header: list[str], blocks) -> None:
@@ -50,15 +54,157 @@ def _write_table(path, header: list[str], blocks) -> None:
         fh.writelines(blocks)
 
 
+# A cell x with d = floor(log10|x|) in [-6, 16] is printed from the
+# round-half-even integer N nearest |x| * 10**(16 - d), its 17 significant
+# digits.  10**(16 - d) is an exact double, so Dekker's two-product (T. J.
+# Dekker, Numer. Math. 18, 1971) gives that product exactly as p + e, with
+# p >= 2**53 an even integer: N = p + rint(e) rounds half to even, as
+# "%.17g" does.  Every other cell (0 aside) is printed by "%.17g" itself.
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_CELL = 25  # byte slots per cell: the sign, at most 23 characters and the separator
+
+
+def _digit_tables():
+    """Per group 0 <= g < 10**4: its four ASCII digits packed in a uint32, and
+    the index (0-3) of its last nonzero digit, -100 for g = 0."""
+    g = np.arange(10_000, dtype=np.uint16)
+    digits = np.empty((g.size, 4), np.uint8)
+    for i in range(4):
+        digits[:, 3 - i] = g // 10 ** i % 10 + 48
+    zeros = (g % 10 == 0) * np.int8(1) + (g % 100 == 0) + (g % 1000 == 0) + (g == 0) * np.int8(100)
+    return digits.view(np.uint32).ravel(), 3 - zeros
+
+
+_GROUP_DIGITS, _GROUP_LAST = _digit_tables()
+
+
+def _cell_lengths():
+    """[d + 6, j]: the length of a cell with exponent d whose last nonzero
+    significant digit is the j-th, after trailing zeros (and a bare ".") are
+    stripped; d < -4 takes the exponent form D.DDDe-0X."""
+    j, d = np.arange(17), np.arange(-6, 17)[:, None]
+    plain = np.where(j > np.maximum(d, 0), j + 2, np.maximum(d, 0) + 1)  # D...D[.D...D]
+    return np.where(d >= -4, np.where(d >= 0, plain, 2 - d + j), plain + 4)
+
+
+_CELL_LENGTHS = _cell_lengths()
+_LEADING = np.frombuffer(b"0.000", np.uint8)
+_EXPONENTS = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray):
+    """a * 10**k exactly, as the rounded product p and its error e."""
+    p = a * _POW10[k]
+    big = _SPLIT * a
+    hi = big - (big - a)
+    lo = a - hi
+    return p, ((hi * _POW10_HI[k] - p) + hi * _POW10_LO[k] + lo * _POW10_HI[k]) + lo * _POW10_LO[k]
+
+
+def _decade_step(p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 where p + e lies below, in or above [1e16, 1e17); the sign
+    of e decides at the ends, not the rounded sum."""
+    return (((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
+            - ((p < 1e16) | ((p == 1e16) & (e < 0))))
+
+
+def _lay_out(cells: np.ndarray, digits: np.ndarray, d: int) -> None:
+    """Write the 17 digits of cells of exponent d after each cell's sign slot,
+    zeros unstripped: fixed notation, or the mantissa D.DDD for d < -4."""
+    if -4 <= d < 0:
+        cells[:, 1:2 - d] = _LEADING[:1 - d]
+        cells[:, 2 - d:19 - d] = digits
+    else:
+        d = max(d, 0)
+        cells[:, 1:d + 2] = digits[:, :d + 1]
+        cells[:, d + 2] = ord(".")
+        cells[:, d + 3:19] = digits[:, d + 1:]
+
+
+def _rows_text(values: np.ndarray) -> str:
+    """The rows of the (n, k) float array as text: cells joined by ",", each
+    row ended by "\\n", each cell x byte for byte ``"%.17g" % x``.
+
+    Equal to ``(("%.17g" + ",%.17g" * (k - 1) + "\\n") * n) % tuple(cells)``;
+    cells other than 0 outside 1e-6 <= |x| < 1e17 (nan, +-inf and
+    subnormals among them) are formatted by that ``%`` and spliced in.
+    """
+    n, k = values.shape
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    m = x.size
+    with np.errstate(divide="ignore"):
+        d = np.floor(np.log10(np.abs(x)))
+    fast = (d >= -6) & (d <= 16)  # False for 0, nan and inf
+    a = np.where(fast, np.abs(x), 0.0)
+    d = np.where(fast, d, 0).astype(np.intp)
+    p, e = _times_pow10(a, 16 - d)
+    step = _decade_step(p, e)  # log10 may be one off near a power of 10
+    redo = np.flatnonzero(fast & (step != 0))
+    if redo.size:
+        d[redo] += step[redo]
+        fast[redo] = (d[redo] >= -6) & (d[redo] <= 16)
+        redo = redo[fast[redo]]
+        p[redo], e[redo] = _times_pow10(a[redo], 16 - d[redo])
+        fast[redo] = _decade_step(p[redo], e[redo]) == 0
+    N = p.astype(np.int64) + np.rint(e).astype(np.int64)  # 0 where x = 0
+    carry = N == 10 ** 17
+    N[carry] = 10 ** 16
+    d += carry
+    fast &= d <= 16
+    d[~fast] = 0  # x = 0 prints as "0", the rest by "%.17g"
+
+    # the 17 digits as five groups of four ASCII digits (the first is "000D")
+    hi, lo = np.divmod(N, 10 ** 8)
+    top, mid = np.divmod(hi, 10 ** 8)
+    words = np.empty((m, 5), np.uint32)
+    last = np.zeros(m, np.intp)  # the index of the last nonzero digit
+    for j, g in enumerate((top, *np.divmod(mid, 10 ** 4), *np.divmod(lo, 10 ** 4))):
+        words[:, j] = _GROUP_DIGITS[g]
+        last = np.maximum(last, 4 * j - 3 + _GROUP_LAST[g])
+    length = _CELL_LENGTHS[d + 6, last]
+
+    # lay the cells out a run of equal exponents at a time, in exponent order
+    t = (d + 6).astype(np.uint8)
+    order = np.argsort(t, kind="stable")
+    digits = words.view("V20")[order].view(np.uint8)[:, 3:]
+    runs = np.empty((m, _CELL), np.uint8)
+    counts = np.bincount(t, minlength=23)
+    ends = np.cumsum(counts)
+    for i in np.flatnonzero(counts).tolist():
+        run = slice(ends[i] - counts[i], ends[i])
+        _lay_out(runs[run], digits[run], i - 6)
+    cells = np.empty_like(runs)
+    cells.view("V25")[order] = runs.view("V25")
+
+    r = np.flatnonzero(fast & (d < -4))
+    cells[r[:, None], length[r, None] + np.arange(-3, 1)] = _EXPONENTS[d[r] + 6]
+    cells[:, 0] = ord("-")
+    neg = np.signbit(x)
+    r = np.flatnonzero(~fast & (x != 0))
+    if r.size:  # "%.17g" text, its sign included, from the sign slot on
+        text = (("%.17g\n" * r.size) % tuple(x[r].tolist())).split()
+        cells[r, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(r.size, 24)
+        length[r] = [len(c) - 1 for c in text]
+        neg[r] = True
+    separators = np.full((n, k), ord(","), np.uint8)
+    separators[:, -1] = ord("\n")
+    cells[np.arange(m), length + 1] = separators.ravel()
+    keep = np.arange(_CELL) <= length[:, None] + 1
+    keep[:, 0] = neg
+    return cells[keep].tobytes().decode("ascii")
+
+
 def _node_blocks(grid: TimeGrid, increments: np.ndarray, *levels: np.ndarray):
-    """Rows t, increment, levels... per node (no increment at t_0), one ``%`` per block."""
+    """Rows t, increment, levels... per node (no increment at t_0), a block of rows at a time."""
     t = grid.nodes()
-    yield ("%.17g," + ",%.17g" * len(levels) + "\n") % tuple(float(c[0]) for c in (t, *levels))
-    row = "%.17g" + ",%.17g" * (len(levels) + 1) + "\n"
+    yield _rows_text(np.array([[t[0], *(c[0] for c in levels)]])).replace(",", ",,", 1)
     for lo in range(1, grid.N + 1, _BLOCK):
         hi = min(lo + _BLOCK, grid.N + 1)
-        block = np.column_stack((t[lo:hi], increments[lo - 1:hi - 1], *(c[lo:hi] for c in levels)))
-        yield (row * (hi - lo)) % tuple(block.ravel().tolist())
+        yield _rows_text(np.column_stack((t[lo:hi], increments[lo - 1:hi - 1],
+                                          *(c[lo:hi] for c in levels))))
 
 
 def write_path_csv(path, bundle: PathBundle) -> None:
@@ -71,23 +217,22 @@ def write_memory_csv(path, est: MemoryEstimate) -> None:
     _write_table(path, MEMORY_HEADER, _node_blocks(est.grid, est.dw_hat, est.Lambda_hat, est.lambda_hat))
 
 
-# indexed by region code (0 none, 1-4, 5 boundary), the format of a sweep row's
-# cells after y, p and Lambda: region, the RESULT_FIELDS and exists, with empty
-# fields where no equilibrium exists
-_ROW_FORMATS = ("0" + "," * (len(RESULT_FIELDS) + 1) + "0",
-                *(f"{region},{'%.17g,' * len(RESULT_FIELDS)}1"
-                  for region in ("1", "2", "3", "4", "boundary")))
+# by region code 1-4, 5: the region cell of a sweep row with an equilibrium;
+# code 0 (none) gives a row with the RESULT_FIELDS empty
+_REGIONS = ("1", "2", "3", "4", "boundary")
+_NO_EQUILIBRIUM = "0" + "," * (len(RESULT_FIELDS) + 1) + "0"
 
 
 def _row_tails(batch) -> list[str]:
-    """Per state of a batch, its sweep-row cells after y, p and Lambda, as text;
-    one ``%`` formats a block of _BLOCK states."""
+    """Per state of a batch, its sweep-row cells after y, p and Lambda, as text:
+    region, the RESULT_FIELDS and exists; a block of states at a time."""
     tails = []
     for lo in range(0, len(batch.code), _BLOCK):
         code = batch.code[lo:lo + _BLOCK]
-        values = batch.fields[:len(RESULT_FIELDS), lo:lo + _BLOCK][:, code != 0].T.ravel().tolist()
-        text = "\n".join([_ROW_FORMATS[c] for c in code.tolist()]) % tuple(values)
-        tails += text.split("\n")
+        rows = _rows_text(batch.fields[:len(RESULT_FIELDS), lo:lo + _BLOCK][:, code != 0].T)
+        rows = iter(rows.split("\n"))
+        tails += [f"{_REGIONS[c - 1]},{next(rows)},1" if c else _NO_EQUILIBRIUM
+                  for c in code.tolist()]
     return tails
 
 
@@ -143,9 +288,8 @@ def write_figures(fig_dir, grid, tails) -> None:
 
 
 def write_convergence_csv(path, report) -> None:
-    _write_table(path, CONVERGENCE_HEADER, (
-        ",".join(map(fmt, cells)) + "\n"
-        for cells in zip(report.dt_values, report.median_err_Lambda, report.median_err_lambda)))
+    _write_table(path, CONVERGENCE_HEADER, [_rows_text(np.column_stack(
+        (report.dt_values, report.median_err_Lambda, report.median_err_lambda)))])
 
 
 def _ended_lines(fh, path):

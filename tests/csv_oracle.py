@@ -213,7 +213,8 @@ def read_t_z_csv(path):
         raise ValueError(f"{path}: times must be increasing")
     dt = T / n
     gaps = np.diff(ta)
-    bad = np.nonzero(~(np.abs(gaps - dt) <= _SPACING_RTOL * dt))[0]
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite last time is a bad gap
+        bad = np.nonzero(~(np.abs(gaps - dt) <= _SPACING_RTOL * dt))[0]
     if bad.size:
         i = int(bad[0])
         raise ValueError(

@@ -29,6 +29,7 @@ from fbmecon import cli, csvio
 from fbmecon.cli import RunConfig, main
 from fbmecon.csvio import (
     _BLOCK,
+    _rows_text,
     read_t_z_csv,
     write_convergence_csv,
     write_memory_csv,
@@ -50,9 +51,10 @@ def same_bytes(tmp_path, write, oracle, obj) -> bool:
     return new.read_bytes() == old.read_bytes()
 
 
-# node counts N + 1: one row, one row short of a block, one full block, a
-# block plus one row, a block plus a partial one, and two blocks plus one row
-@pytest.mark.parametrize("N", [1, _BLOCK - 2, _BLOCK - 1, _BLOCK, 5000, 2 * _BLOCK])
+# node counts N + 1: one row, one row short of four blocks, four full blocks,
+# four blocks plus one row, four blocks plus a partial one, and eight blocks
+# plus one row
+@pytest.mark.parametrize("N", [1, 4 * _BLOCK - 2, 4 * _BLOCK - 1, 4 * _BLOCK, 5000, 8 * _BLOCK])
 def test_path_and_memory_csv_match_oracle(tmp_path, N):
     bundle = simulate_bundle(TimeGrid(1.0, N), BASE_PARAMS, seed=3, refine=1)
     assert same_bytes(tmp_path, write_path_csv, csv_oracle.write_path_csv, bundle)
@@ -64,7 +66,7 @@ SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072
                     2.2250738585072014e-308, 1e308, -1e308, np.finfo(float).max, 0.1, -1 / 3])
 
 
-@pytest.mark.parametrize("N", [1, 12, _BLOCK + 3])
+@pytest.mark.parametrize("N", [1, 12, 4 * _BLOCK + 3])
 def test_special_values_match_oracle(tmp_path, N):
     def column(n, shift):  # the special values, cycled and shifted per column
         return np.roll(np.resize(SPECIAL, n), shift)
@@ -187,6 +189,96 @@ def test_cli_sweep_builds_no_result_objects(sweep_cases, tmp_path, monkeypatch):
 def test_convergence_csv_matches_oracle(tmp_path):
     report = convergence_study(BASE_PARAMS, 1.0, 256, [2, 4, 8], seeds=2)
     assert same_bytes(tmp_path, write_convergence_csv, csv_oracle.write_convergence_csv, report)
+
+
+# ---------------------------------------------------------------------------
+# the block formatter
+
+
+def percent_rows(values) -> str:
+    """The oracle: every cell by ``"%.17g" %``, joined by "," and each row ended by "\\n"."""
+    n, k = values.shape
+    return (("%.17g" + ",%.17g" * (k - 1) + "\n") * n) % tuple(values.ravel().tolist())
+
+
+def assert_rows_text(cells) -> None:
+    """_rows_text matches the oracle on ``cells`` as one column and as rows of 8."""
+    column = np.asarray(cells, dtype=float).reshape(-1, 1)
+    assert _rows_text(column) == percent_rows(column)
+    rows = np.resize(column, (-(-column.size // 8), 8))
+    assert _rows_text(rows) == percent_rows(rows)
+
+
+def ulps_around(x: float, count: int = 40) -> list[float]:
+    """x and its ``count`` nearest doubles on each side."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def as_float(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# cells "%.17g" prints itself (nan, +-inf, subnormals, |x| < 1e-6 or >= 1e17), and 0
+FALLBACK = [np.nan, -np.nan, as_float(0x7FF8_0000_0000_0001), np.inf, -np.inf, 5e-324,
+            -2.2250738585072009e-308, 2.2250738585072014e-308, 9.9999999999999995e-07,
+            -1e-300, 1e17, -1e17, 1e300, np.finfo(float).max, 0.0, -0.0]
+CELL = st.one_of(st.integers(0, 2 ** 64 - 1).map(as_float), st.floats(), st.sampled_from(FALLBACK))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rows_text_matches_percent_property(data):
+    n, k = data.draw(st.integers(1, 6), label="n"), data.draw(st.integers(1, 8), label="k")
+    values = np.array(data.draw(st.lists(CELL, min_size=n * k, max_size=n * k)),
+                      dtype=float).reshape(n, k)
+    if data.draw(st.booleans(), label="fallback cells in the last column"):
+        values[:, -1] = data.draw(st.lists(st.sampled_from(FALLBACK), min_size=n, max_size=n))
+    assert _rows_text(values) == percent_rows(values)
+
+
+def test_rows_text_random_bit_patterns():
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2 ** 64, size=(3000, 7), dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert _rows_text(values) == percent_rows(values)
+
+
+def test_rows_text_rounds_ties_to_even():
+    # i + j / 8 for 15-digit i (and i + j / 16 for 14-digit i) has 18 significant
+    # digits ending in 5: an exact tie at the 17th digit
+    rng = np.random.default_rng(8)
+    eighths = rng.integers(10 ** 14, 10 ** 15, 2500)[:, None] + np.array([1, 3, 5, 7]) / 8
+    sixteenths = rng.integers(10 ** 13, 10 ** 14, 2500)[:, None] + np.array([1, 3, 13, 15]) / 16
+    ties = np.concatenate((eighths.ravel(), sixteenths.ravel()))
+    assert_rows_text(np.concatenate((ties, -ties)))
+    assert _rows_text(np.array([[125000000000000.125, 125000000000000.375]])) == (
+        "125000000000000.12,125000000000000.38\n")
+
+
+@pytest.mark.parametrize("j", range(-8, 19))
+def test_rows_text_around_powers_of_ten(j):
+    # the d borders -7/-6 (1e-6), -5/-4 (1e-4) and 16/17 (1e17) among them
+    cells = ulps_around(10.0 ** j)
+    assert_rows_text(cells + [-c for c in cells])
+
+
+def test_rows_text_carry_below_powers_of_ten():
+    # the largest double below 10**j, whose 17 digits may round up to 10**j
+    below = [np.nextafter(10.0 ** j, 0) for j in range(-7, 19)]
+    assert_rows_text(below + [-c for c in below])
+
+
+def test_rows_text_exponent_and_special_forms():
+    assert _rows_text(np.array([[1e-6]])) == "9.9999999999999995e-07\n"
+    cells = [1e-5, -2.0 ** -17, 2.0 ** -15, 1e-4, 0.0, -0.0, 1e16, 1e17, np.nan, -np.inf]
+    assert _rows_text(np.array([cells])) == ("1.0000000000000001e-05,-7.62939453125e-06,"
+                                            "3.0517578125e-05,0.0001,0,-0,10000000000000000,"
+                                            "1e+17,nan,-inf\n")
+    assert_rows_text(FALLBACK)
 
 
 # ---------------------------------------------------------------------------

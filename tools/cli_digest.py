@@ -1,8 +1,11 @@
 """Print a digest of the command line's outputs, one line per call and per file.
 
 A fixed list of ``fbmecon.cli.main`` calls runs in-process, each writing into
-its own folder of one temporary directory: a simulation, the recovery of its
-path, a convergence study, ``sweep --figures`` on the benchmark grid and on a
+its own folder of one temporary directory: a simulation and the recovery of
+its path, once with the base calibration and twice with tables whose cells
+reach the text writer's edges (a memoryless path with D0 = 1e-20, whose
+memory cells are all 0 and whose D_hat is in exponent form, and D0 = 9.5e16,
+whose D_hat crosses 1e17), a convergence study, ``sweep --figures`` on the benchmark grid and on a
 grid of edge values, single states at both boundaries and inside, a
 calibration with no equilibrium, and three runs that fail validation.  Each
 call gives the line ``label exit=<code> stdout=<sha256> stderr=<sha256>``
@@ -53,16 +56,23 @@ def write_config(path: Path, params: ModelParams = BASE_PARAMS, **extra) -> str:
 def calls(tmp: Path) -> list[tuple[str, list[str]]]:
     """(label, argv) of every call, in the order they run; {out} is the call's folder."""
     base = write_config(tmp / "base.cfg", N=2000, refine=8)
+    tiny = write_config(tmp / "tiny.cfg", dataclasses.replace(BASE_PARAMS, H=0.5), N=2000,
+                        refine=8, D0=1e-20)
+    huge = write_config(tmp / "huge.cfg", N=2000, refine=8, D0=9.5e16)
     bench = write_config(tmp / "bench.cfg", **BENCH_GRID)
     edge = write_config(tmp / "edge.cfg", **EDGE_GRID)
     none = write_config(tmp / "none.cfg", NO_EQUILIBRIUM)
     bad_rho = write_config(tmp / "bad_rho.cfg", dataclasses.replace(BASE_PARAMS, rho=-1.0))
     bad_list = write_config(tmp / "bad_list.cfg", p_list="1,x")
-    paths_csv = str(tmp / "simulate" / "paths.csv")
-    out = [
-        ("simulate", ["--config", base, "--seed", "3", "--out", paths_csv, "simulate"]),
-        ("estimate", ["--config", base, "--out", "{out}/memory.csv", "estimate", paths_csv,
-                      "--summary"]),
+    out = []
+    for label, cfg in (("", base), ("_tiny", tiny), ("_huge", huge)):
+        paths_csv = str(tmp / f"simulate{label}" / "paths.csv")
+        out += [
+            (f"simulate{label}", ["--config", cfg, "--seed", "3", "--out", paths_csv, "simulate"]),
+            (f"estimate{label}", ["--config", cfg, "--out", "{out}/memory.csv", "estimate",
+                                  paths_csv, "--summary"]),
+        ]
+    out += [
         ("convergence", ["--config", base, "--out", "{out}/convergence.csv", "convergence",
                          "--n-fine", "4096", "--factors", "4,8,16", "--seeds", "3"]),
         ("sweep_bench", ["--config", bench, "--out", "{out}/sweep.csv", "sweep",
