@@ -199,10 +199,10 @@ def _cmd_sweep(args) -> int:
     failures = [row for row in grid.in_order([b.err for b in grid.batches]) if row[3] is not None]
     for y, p, L, exc in failures:
         _log(f"sweep: row (y={y:g}, p={p:g}, Lambda={L:g}) failed: {exc}")
-    tails = csvio.write_sweep_csv(out, grid)
+    cells = csvio.write_sweep_csv(out, grid)
     _log(f"sweep: wrote {out} ({rows} rows, {len(failures)} failures)")
     if args.figures:
-        csvio.write_figures(Path(args.figures), grid, tails)
+        csvio.write_figures(Path(args.figures), grid, cells)
         _log(f"sweep: wrote figure files to {args.figures}")
     return 0
 

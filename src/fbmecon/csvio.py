@@ -3,17 +3,18 @@
 All files are UTF-8, comma-separated, with a mandatory header row and "\\n"
 line endings; the last row's line ending is required too, so an input file
 cut inside its last row is rejected.  Floats are printed with 17 significant
-digits so every value round-trips losslessly.  Every table's float cells go
-through one numpy formatter, ``_rows_text``, a block of rows at a time; its
-text is byte for byte that of ``"%.17g" %`` applied cell by cell.  Cells
-with 1e-6 <= |x| < 1e17, and 0, are printed from exact integer arithmetic;
-the rest (nan, +-inf, subnormals, |x| < 1e-6 or >= 1e17) by ``"%.17g" %``
-itself, as are single labels (:func:`fmt`).  Increments (dw,
-dw_hat) sit on the row of their right endpoint, leaving an empty cell at t_0.
-The sweep writer formats the columns of the solver's per-p batches, and the
-figure writer pivots the cells it formatted, so a figure cell is the sweep
-CSV's own cell.  The t,Z reader parses with numpy and accepts exactly what
-its per-row parser does.
+digits, byte for byte as ``"%.17g" %``, so every value round-trips; increments
+(dw, dw_hat) sit on the row of their right endpoint.  The one text
+representation is a cell table: :func:`_cells` writes each value's bytes into
+a row of ``_CELL`` slots and leaves every unused byte NUL, so an all-NUL cell
+is empty (the increment at t_0, the fields of a state without an
+equilibrium).  :func:`_text` puts "," or "\\n" in each cell's last slot and
+drops the padding with one ``bytes.translate``.  Cells with 1e-6 <= |x| <
+1e17, and 0, come from exact integer arithmetic; the rest (nan, +-inf,
+subnormals, other magnitudes) from ``%`` itself.  The sweep CSV is assembled
+from label, region and field cells by numpy broadcasting, and each figure is
+one gather of the sweep's own field cells.  The t,Z reader parses with numpy
+and accepts exactly what its per-row parser does.
 """
 
 from __future__ import annotations
@@ -79,29 +80,18 @@ def _digit_tables():
 
 
 _GROUP_DIGITS, _GROUP_LAST = _digit_tables()
-
-
-def _cell_lengths():
-    """[d + 6, j]: the length of a cell with exponent d whose last nonzero
-    significant digit is the j-th, after trailing zeros (and a bare ".") are
-    stripped; d < -4 takes the exponent form D.DDDe-0X."""
-    j, d = np.arange(17), np.arange(-6, 17)[:, None]
-    plain = np.where(j > np.maximum(d, 0), j + 2, np.maximum(d, 0) + 1)  # D...D[.D...D]
-    return np.where(d >= -4, np.where(d >= 0, plain, 2 - d + j), plain + 4)
-
-
-_CELL_LENGTHS = _cell_lengths()
-_LEADING = np.frombuffer(b"0.000", np.uint8)
-_EXPONENTS = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
+# [i, j]: 0xff where digit j shows when the last digit shown is the i-th, else 0
+_SHOWN = (np.arange(17) <= np.arange(17)[:, None]) * np.uint8(0xFF)
 
 
 def _times_pow10(a: np.ndarray, k: np.ndarray):
     """a * 10**k exactly, as the rounded product p and its error e."""
-    p = a * _POW10[k]
+    p = a * _POW10.take(k)
     big = _SPLIT * a
     hi = big - (big - a)
     lo = a - hi
-    return p, ((hi * _POW10_HI[k] - p) + hi * _POW10_LO[k] + lo * _POW10_HI[k]) + lo * _POW10_LO[k]
+    k_hi, k_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    return p, ((hi * k_hi - p) + hi * k_lo + lo * k_hi) + lo * k_lo
 
 
 def _decade_step(p: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -112,33 +102,32 @@ def _decade_step(p: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _lay_out(cells: np.ndarray, digits: np.ndarray, d: int) -> None:
-    """Write the 17 digits of cells of exponent d after each cell's sign slot,
-    zeros unstripped: fixed notation, or the mantissa D.DDD for d < -4."""
+    """Write the digits of cells of exponent d after each cell's sign slot: fixed
+    notation, or D.DDDe-0X for d < -4, with a "." only where a digit follows."""
     if -4 <= d < 0:
-        cells[:, 1:2 - d] = _LEADING[:1 - d]
+        cells[:, 1:2 - d] = np.frombuffer(b"0.000"[:1 - d], np.uint8)
         cells[:, 2 - d:19 - d] = digits
-    else:
-        d = max(d, 0)
-        cells[:, 1:d + 2] = digits[:, :d + 1]
-        cells[:, d + 2] = ord(".")
-        cells[:, d + 3:19] = digits[:, d + 1:]
+        return
+    i = max(d, 0)
+    cells[:, 1:i + 2] = digits[:, :i + 1]
+    cells[:, i + 3:19] = digits[:, i + 1:]
+    cells[:, i + 2] = (cells[:, i + 3] != 0) * np.uint8(ord("."))
+    if d < -4:
+        cells[:, 19:23] = np.frombuffer(b"e-%02d" % -d, np.uint8)
 
 
-def _rows_text(values: np.ndarray) -> str:
-    """The rows of the (n, k) float array as text: cells joined by ",", each
-    row ended by "\\n", each cell x byte for byte ``"%.17g" % x``.
-
-    Equal to ``(("%.17g" + ",%.17g" * (k - 1) + "\\n") * n) % tuple(cells)``;
-    cells other than 0 outside 1e-6 <= |x| < 1e17 (nan, +-inf and
-    subnormals among them) are formatted by that ``%`` and spliced in.
-    """
-    n, k = values.shape
+def _cells(values: np.ndarray) -> np.ndarray:
+    """Per value x, the bytes of ``"%.17g" % x`` in a row of _CELL slots, shaped
+    ``values.shape + (_CELL,)``: slot 0 holds "-" or NUL, and every unused slot,
+    the last (the separator's) included, is NUL.  Cells other than 0 outside
+    1e-6 <= |x| < 1e17 (nan, +-inf, subnormals) hold the ``%`` text in slots 0-23."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     m = x.size
+    a = np.abs(x)
     with np.errstate(divide="ignore"):
-        d = np.floor(np.log10(np.abs(x)))
+        d = np.floor(np.log10(a))
     fast = (d >= -6) & (d <= 16)  # False for 0, nan and inf
-    a = np.where(fast, np.abs(x), 0.0)
+    a[~fast] = 0.0
     d = np.where(fast, d, 0).astype(np.intp)
     p, e = _times_pow10(a, 16 - d)
     step = _decade_step(p, e)  # log10 may be one off near a power of 10
@@ -156,21 +145,24 @@ def _rows_text(values: np.ndarray) -> str:
     fast &= d <= 16
     d[~fast] = 0  # x = 0 prints as "0", the rest by "%.17g"
 
-    # the 17 digits as five groups of four ASCII digits (the first is "000D")
-    hi, lo = np.divmod(N, 10 ** 8)
-    top, mid = np.divmod(hi, 10 ** 8)
+    # the 17 digits as five groups of four ASCII digits (the first is "000D"),
+    # taken from the right by floor division (faster than np.divmod), then
+    # NUL past the last nonzero one, except the integer digits
     words = np.empty((m, 5), np.uint32)
-    last = np.zeros(m, np.intp)  # the index of the last nonzero digit
-    for j, g in enumerate((top, *np.divmod(mid, 10 ** 4), *np.divmod(lo, 10 ** 4))):
-        words[:, j] = _GROUP_DIGITS[g]
-        last = np.maximum(last, 4 * j - 3 + _GROUP_LAST[g])
-    length = _CELL_LENGTHS[d + 6, last]
+    last = np.zeros(m, np.int8)  # the index of the last nonzero digit
+    for j in range(4, -1, -1):
+        q = N // 10 ** 4
+        g = N - q * 10 ** 4
+        words[:, j] = _GROUP_DIGITS.take(g)
+        np.maximum(last, _GROUP_LAST.take(g) + np.int8(4 * j - 3), out=last)
+        N = q
+    digits = words.view(np.uint8)[:, 3:] & _SHOWN.take(np.maximum(last, d), axis=0)
 
     # lay the cells out a run of equal exponents at a time, in exponent order
     t = (d + 6).astype(np.uint8)
     order = np.argsort(t, kind="stable")
-    digits = words.view("V20")[order].view(np.uint8)[:, 3:]
-    runs = np.empty((m, _CELL), np.uint8)
+    digits = digits.take(order, axis=0)
+    runs = np.zeros((m, _CELL), np.uint8)
     counts = np.bincount(t, minlength=23)
     ends = np.cumsum(counts)
     for i in np.flatnonzero(counts).tolist():
@@ -178,33 +170,37 @@ def _rows_text(values: np.ndarray) -> str:
         _lay_out(runs[run], digits[run], i - 6)
     cells = np.empty_like(runs)
     cells.view("V25")[order] = runs.view("V25")
-
-    r = np.flatnonzero(fast & (d < -4))
-    cells[r[:, None], length[r, None] + np.arange(-3, 1)] = _EXPONENTS[d[r] + 6]
-    cells[:, 0] = ord("-")
-    neg = np.signbit(x)
+    cells[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     r = np.flatnonzero(~fast & (x != 0))
     if r.size:  # "%.17g" text, its sign included, from the sign slot on
         text = (("%.17g\n" * r.size) % tuple(x[r].tolist())).split()
-        cells[r, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(r.size, 24)
-        length[r] = [len(c) - 1 for c in text]
-        neg[r] = True
-    separators = np.full((n, k), ord(","), np.uint8)
-    separators[:, -1] = ord("\n")
-    cells[np.arange(m), length + 1] = separators.ravel()
-    keep = np.arange(_CELL) <= length[:, None] + 1
-    keep[:, 0] = neg
-    return cells[keep].tobytes().decode("ascii")
+        cells[r, :24] = np.array(text, dtype="S24").view((np.uint8, 24))
+    return cells.reshape(*np.shape(values), _CELL)
+
+
+def _text(table: np.ndarray) -> str:
+    """The (n, k, _CELL) cell table as n CSV rows of k cells: the last slot of
+    each cell becomes "," and, in a row's last cell, "\\n"; the NUL padding
+    is dropped, so an all-NUL cell is empty.  Writes into ``table``."""
+    table[:, :, -1] = ord(",")
+    table[:, -1, -1] = ord("\n")
+    return table.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _rows_text(values: np.ndarray) -> str:
+    """The (n, k) float array as n CSV rows, each cell x byte for byte ``"%.17g" % x``."""
+    return _text(_cells(values))
 
 
 def _node_blocks(grid: TimeGrid, increments: np.ndarray, *levels: np.ndarray):
-    """Rows t, increment, levels... per node (no increment at t_0), a block of rows at a time."""
-    t = grid.nodes()
-    yield _rows_text(np.array([[t[0], *(c[0] for c in levels)]])).replace(",", ",,", 1)
-    for lo in range(1, grid.N + 1, _BLOCK):
-        hi = min(lo + _BLOCK, grid.N + 1)
-        yield _rows_text(np.column_stack((t[lo:hi], increments[lo - 1:hi - 1],
-                                          *(c[lo:hi] for c in levels))))
+    """Rows t, increment, levels... per node, a block of rows at a time; the
+    increment cell of t_0 is empty."""
+    columns = (grid.nodes(), np.concatenate(([0.0], increments)), *levels)
+    for lo in range(0, grid.N + 1, _BLOCK):
+        table = _cells(np.column_stack([c[lo:lo + _BLOCK] for c in columns]))
+        if lo == 0:
+            table[0, 1] = 0
+        yield _text(table)
 
 
 def write_path_csv(path, bundle: PathBundle) -> None:
@@ -217,33 +213,33 @@ def write_memory_csv(path, est: MemoryEstimate) -> None:
     _write_table(path, MEMORY_HEADER, _node_blocks(est.grid, est.dw_hat, est.Lambda_hat, est.lambda_hat))
 
 
-# by region code 1-4, 5: the region cell of a sweep row with an equilibrium;
-# code 0 (none) gives a row with the RESULT_FIELDS empty
-_REGIONS = ("1", "2", "3", "4", "boundary")
-_NO_EQUILIBRIUM = "0" + "," * (len(RESULT_FIELDS) + 1) + "0"
+# the region cell by region code (0: no equilibrium, 5: boundary); codes 0
+# and 1 give the exists cell
+_CODE_CELLS = np.array([b"0", b"1", b"2", b"3", b"4", b"boundary"], f"S{_CELL}").view((np.uint8, _CELL))
 
 
-def _row_tails(batch) -> list[str]:
-    """Per state of a batch, its sweep-row cells after y, p and Lambda, as text:
-    region, the RESULT_FIELDS and exists; a block of states at a time."""
-    tails = []
-    for lo in range(0, len(batch.code), _BLOCK):
-        code = batch.code[lo:lo + _BLOCK]
-        rows = _rows_text(batch.fields[:len(RESULT_FIELDS), lo:lo + _BLOCK][:, code != 0].T)
-        rows = iter(rows.split("\n"))
-        tails += [f"{_REGIONS[c - 1]},{next(rows)},1" if c else _NO_EQUILIBRIUM
-                  for c in code.tolist()]
-    return tails
+def write_sweep_csv(path, grid) -> np.ndarray:
+    """The sweep CSV of a priced grid, rows in (y, p, Lambda) order.
 
-
-def write_sweep_csv(path, grid) -> list:
-    """The sweep CSV of a priced grid, rows in (y, p, Lambda) order; returns
-    each p's row tails (see :func:`_row_tails`) for :func:`write_figures`."""
-    tails = [_row_tails(b) for b in grid.batches]
-    labels = [[fmt(v) for v in vals] for vals in (grid.y, grid.p, grid.Lam)]
-    _write_table(path, SWEEP_HEADER, (f"{y},{p},{L},{tail}\n"
-                                      for y, p, L, tail in grid.in_order(tails, labels)))
-    return tails
+    Returns the RESULT_FIELDS cells of its states, shaped (p, y, Lambda,
+    field, _CELL) and empty where a state has no equilibrium, for
+    :func:`write_figures`.
+    """
+    ny, n_p, nL, k = len(grid.y), len(grid.p), len(grid.Lam), len(RESULT_FIELDS)
+    code = np.array([b.code for b in grid.batches], np.intp).reshape(n_p, ny, nL)
+    fields = np.concatenate([_cells(b.fields[:k, lo:lo + _BLOCK].T) for b in grid.batches
+                             for lo in range(0, ny * nL, _BLOCK)]).reshape(n_p, ny, nL, k, _CELL)
+    fields[code == 0] = 0
+    code = code.transpose(1, 0, 2)
+    table = np.empty((ny, n_p, nL, len(SWEEP_HEADER), _CELL), np.uint8)
+    table[:, :, :, 0] = _cells(grid.y)[:, None, None]
+    table[:, :, :, 1] = _cells(grid.p)[:, None]
+    table[:, :, :, 2] = _cells(grid.Lam)
+    table[:, :, :, 3] = _CODE_CELLS[code]
+    table[:, :, :, 4:-1] = fields.transpose(1, 0, 2, 3, 4)
+    table[:, :, :, -1] = _CODE_CELLS[np.minimum(code, 1)]
+    _write_table(path, SWEEP_HEADER, [_text(table.reshape(-1, len(SWEEP_HEADER), _CELL))])
+    return fields
 
 
 # the plotted quantities in gallery order, with their file-name slugs: figure
@@ -252,34 +248,35 @@ _FIGURE_SLUGS = {"n_C": "holdings", "x_star": "diversion", "sigma_H": "modified_
                  "mu_H": "modified_return", "mu_G": "gross_return", "r": "interest_rate"}
 
 
-def write_figures(fig_dir, grid, tails) -> None:
+def write_figures(fig_dir, grid, cells) -> None:
     """One wide CSV per figure id in the Path ``fig_dir``: y, then one column per line.
 
-    ``tails`` are the row tails :func:`write_sweep_csv` returned for
+    ``cells`` are the field cells :func:`write_sweep_csv` returned for
     ``grid``; a figure cell is the sweep CSV's cell of the first row at its
     grid point, byte for byte.  Panel order follows the gallery layout:
     Lambda panels (0, -5, 5) and protection panels (1, 0.9, 0.6).
     """
     fig_dir.mkdir(parents=True, exist_ok=True)
-    cells = [[tail.split(",") for tail in per_p] for per_p in tails]
     first = {}  # y -> the index of its first row
     for i, y in enumerate(grid.y):
         first.setdefault(y, i)
-    rows = [(fmt(y), first[y] * len(grid.Lam)) for y in sorted(first)]
+    rows = np.array([first[y] for y in sorted(first)], np.intp)
+    labels = _cells(grid.y)[rows]
     vals = {}
     for var, listed, order in (("Lambda", grid.Lam, [0.0, -5.0, 5.0]), ("p", grid.p, [1.0, 0.9, 0.6])):
         vals[var] = [v for v in order if v in listed]
         vals[var] += [v for v in listed if v not in vals[var]]
     manifest = []
     for m, (field, slug) in enumerate(_FIGURE_SLUGS.items()):
-        f = 1 + RESULT_FIELDS.index(field)  # after the region cell
+        f = RESULT_FIELDS.index(field)
         for fig, panel, series in ((3 + 2 * m, "Lambda", "p"), (4 + 2 * m, "p", "Lambda")):
             cols = [(f"{panel}={pv:g};{series}={sv:g}", {panel: pv, series: sv})
                     for pv in vals[panel] for sv in vals[series]]
-            at = [(cells[grid.p.index(v["p"])], grid.Lam.index(v["Lambda"])) for _, v in cols]
+            at_p, at_L = ([listed.index(v[var]) for _, v in cols]
+                          for var, listed in (("p", grid.p), ("Lambda", grid.Lam)))
+            table = np.concatenate((labels[:, None], cells[at_p, rows[:, None], at_L, f]), axis=1)
             name = f"fig{fig:02d}_{slug}_by_{'memory' if series == 'Lambda' else 'protection'}.csv"
-            _write_table(fig_dir / name, ["y"] + [c for c, _ in cols], (
-                ",".join([y, *[states[i + j][f] for states, j in at]]) + "\n" for y, i in rows))
+            _write_table(fig_dir / name, ["y"] + [c for c, _ in cols], [_text(table)])
             manifest.append({"figure": fig, "file": name, "quantity": field, "x_axis": "y",
                              "panel_variable": panel, "series_variable": series,
                              "columns": {c: {"panel": v[panel], "series": v[series]} for c, v in cols}})
@@ -308,12 +305,15 @@ def _numpy_columns(path, it: int, iz: int) -> np.ndarray:
     cells may hold commas), NUL (refused by csv before Python 3.11), \\x1c-\\x1f
     (whitespace to numpy, not to float()) or h bytes with no separator.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     h = max(1, csv.field_size_limit() // 2)  # a field over csv's limit spans h bytes
-    if (data[-1:] not in (b"\n", b"\r") or any(b in data for b in b'"\0\x1c\x1d\x1e\x1f')
-            or any(data.find(b",", i, i + h) < 0 and data.find(b"\n", i, i + h) < 0
-                   for i in range(0, len(data), h))):
+    chunk = b""
+    with open(path, "rb") as fh:  # in chunks of whole h-byte windows, about 1 MiB
+        for chunk in iter(lambda: fh.read(h * max(1, 2 ** 20 // h)), b""):
+            if (any(b in chunk for b in b'"\0\x1c\x1d\x1e\x1f')
+                    or any(chunk.find(b",", i, i + h) < 0 and chunk.find(b"\n", i, i + h) < 0
+                           for i in range(0, len(chunk), h))):
+                raise ValueError(f"{path}: left to the per-row parser")
+    if chunk[-1:] not in (b"\n", b"\r"):
         raise ValueError(f"{path}: left to the per-row parser")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a file with no rows warns

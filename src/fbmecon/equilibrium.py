@@ -763,14 +763,12 @@ class _Grid:
     Lam: list[float]
     batches: list[_Batch]
 
-    def in_order(self, per_p, labels=None):
-        """(y, p, Lambda, per_p[k][s]) of every row: y outermost, then p, then
-        Lambda; ``labels`` stand in for the three value lists (their text, say)."""
-        ys, ps, Ls = labels or (self.y, self.p, self.Lam)
-        for i, y in enumerate(ys):
-            for p, items in zip(ps, per_p):
-                for j, L in enumerate(Ls):
-                    yield y, p, L, items[i * len(Ls) + j]
+    def in_order(self, per_p):
+        """(y, p, Lambda, per_p[k][s]) of every row: y outermost, then p, then Lambda."""
+        for i, y in enumerate(self.y):
+            for p, items in zip(self.p, per_p):
+                for j, L in enumerate(self.Lam):
+                    yield y, p, L, items[i * len(self.Lam) + j]
 
 
 def _price_grid(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0.0) -> _Grid:

@@ -5,6 +5,7 @@ import csv
 import importlib
 import io
 from dataclasses import fields, replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,9 @@ from fbmecon import cli, csvio
 from fbmecon.cli import RunConfig, main
 from fbmecon.csvio import (
     _BLOCK,
+    _cells,
     _rows_text,
+    _text,
     read_t_z_csv,
     write_convergence_csv,
     write_memory_csv,
@@ -154,6 +157,27 @@ def test_figures_match_oracle(sweep_cases, tmp_path):
             assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("y, p, Lam", [
+    ([0.5, 0.25, 0.5, 1.0], [0.6, 1.0, 0.6], [5.0, -0.0]),  # y unsorted, with a repeat
+    # repeats told apart by their text alone (signed zeros), an invalid p and
+    # failed states, whose field cells are empty
+    ([0.0, 0.5, -0.0, 0.25], [0.0, 2.0, 0.6, -0.0], [5.0, -0.0, 1e4, 0.0]),
+])
+def test_sweep_and_figures_of_a_grid_match_oracle(tmp_path, y, p, Lam):
+    grid = _price_grid(BASE_PARAMS, y, p, Lam)
+    rows = sweep(BASE_PARAMS, y, p, Lam)
+    cells = write_sweep_csv(tmp_path / "new.csv", grid)
+    csv_oracle.write_sweep_csv(tmp_path / "old.csv", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    new, old = tmp_path / "new", tmp_path / "old"
+    csvio.write_figures(new, grid, cells)
+    csv_oracle.write_figures(old, rows, SimpleNamespace(p_list=p, Lambda_list=Lam))
+    names = sorted(f.name for f in old.iterdir())
+    assert len(names) == 13 and sorted(f.name for f in new.iterdir()) == names
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("params, y, region", [(BASE_PARAMS, 0.5, 2), (BASE_PARAMS, 0.0, "boundary"),
                                                (NOEQ, 0.5, "nonexistent")])
 def test_equilibrium_out_matches_oracle(tmp_path, capsys, params, y, region):
@@ -238,6 +262,22 @@ def test_rows_text_matches_percent_property(data):
     if data.draw(st.booleans(), label="fallback cells in the last column"):
         values[:, -1] = data.draw(st.lists(st.sampled_from(FALLBACK), min_size=n, max_size=n))
     assert _rows_text(values) == percent_rows(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_text_with_empty_cells_matches_percent_property(data):
+    # an all-NUL cell is an empty one, wherever it sits in its row
+    n, k = data.draw(st.integers(1, 6), label="n"), data.draw(st.integers(1, 8), label="k")
+    values = np.array(data.draw(st.lists(CELL, min_size=n * k, max_size=n * k)),
+                      dtype=float).reshape(n, k)
+    empty = np.array(data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k)),
+                     dtype=bool).reshape(n, k)
+    table = _cells(values)
+    table[empty] = 0
+    assert _text(table) == "".join(
+        ",".join("" if e else "%.17g" % v for v, e in zip(row, blank)) + "\n"
+        for row, blank in zip(values.tolist(), empty.tolist()))
 
 
 def test_rows_text_random_bit_patterns():
@@ -339,6 +379,57 @@ def test_reader_defers_cells_numpy_may_misread(small_csv, column, cell):
     lines[-2] = ",".join(cells)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     assert outcome(read_t_z_csv, path) == outcome(csv_oracle.read_t_z_csv, path)
+
+
+@pytest.fixture
+def field_limit_64():
+    """csv.field_size_limit() lowered to 64 for one test: the reader then scans
+    in 32-byte windows and its first chunk ends at byte 2**20."""
+    old = csv.field_size_limit(64)
+    yield
+    csv.field_size_limit(old)
+
+
+@pytest.fixture(scope="module")
+def wide_rows():
+    """22,000 rows "t,Z,x" of 50 bytes each, every 32-byte window holding a
+    separator; the last row's x is short, so only its line ending can be missing."""
+    z = np.sin(np.arange(22_000)).tolist()
+    rows = [f"{i:08d},{z[i]:+.6f},{'0' * 30}\n" for i in range(len(z))]
+    rows[-1] = f"{len(z) - 1:08d},0,0\n"
+    return rows
+
+
+def numpy_reads(path) -> bool:
+    """Whether numpy's parser takes the file (t and Z in columns 0 and 1)."""
+    try:
+        csvio._numpy_columns(path, 0, 1)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("value, at, fast", [
+    ('"+0.5,0', 0, False), ('+0.5,0"', 6, False), ("+0.5\x1c,0", 4, False),
+    ("+0.5\x1c,0", 5, False), ("+0.5,0", 0, True),
+    # a field of 31 bytes covers no whole window; one of 64 or more always does
+    *((f"+0.5,{'1' * 31}", at, True) for at in (6, 20, 35)),
+    *((f"+0.5,{'1' * 64}", at, False) for at in (5, 37, 68)),
+    *((f"+0.5,{'1' * 65}", at, False) for at in (5, 25, 36, 37, 45, 69))],
+    ids=lambda v: v if not isinstance(v, str) or len(v) < 12 else f"{v[:5]}{v[5]}x{len(v) - 5}")
+def test_reader_scans_across_chunk_boundaries(tmp_path, field_limit_64, wide_rows, value, at, fast):
+    # one row's Z and x cells read ``value``, with value[at] on byte 2**20,
+    # the first byte of the scan's second chunk; the header's pad places it
+    r, pad = divmod(2 ** 20 - at - 15, 50)
+    rows = wide_rows.copy()
+    rows[r] = f"{r:08d},{value}\n"
+    text = "t,Z,x" + "_" * pad + "\n" + "".join(rows)
+    path = tmp_path / "boundary.csv"
+    for body in (text, text[:-1]):  # the second without its last line ending
+        path.write_text(body, encoding="utf-8")
+        assert path.read_bytes()[2 ** 20 - at:][:len(value)] == value.encode()
+        assert numpy_reads(path) == (fast and body is text)
+        assert outcome(read_t_z_csv, path) == outcome(csv_oracle.read_t_z_csv, path)
 
 
 def rarely(data, label):

@@ -5,8 +5,9 @@ its own folder of one temporary directory: a simulation and the recovery of
 its path, once with the base calibration and twice with tables whose cells
 reach the text writer's edges (a memoryless path with D0 = 1e-20, whose
 memory cells are all 0 and whose D_hat is in exponent form, and D0 = 9.5e16,
-whose D_hat crosses 1e17), a convergence study, ``sweep --figures`` on the benchmark grid and on a
-grid of edge values, single states at both boundaries and inside, a
+whose D_hat crosses 1e17), a convergence study, ``sweep --figures`` on the
+benchmark grid, on a grid of edge values and on a grid whose labels reach the
+text writer's edges, single states at both boundaries and inside, a
 calibration with no equilibrium, and three runs that fail validation.  Each
 call gives the line ``label exit=<code> stdout=<sha256> stderr=<sha256>``
 and each file it wrote the line ``label/file <sha256>``; the temporary path
@@ -35,6 +36,9 @@ BENCH_GRID = {"y_start": 0.0, "y_stop": 1.0, "y_step": 0.01,
               "p_list": "1,0.9,0.6,0.3,0", "Lambda_list": "-5,0,5"}
 EDGE_GRID = {"p_list": "1,0.9,0.6,0.3,0,2,nan,-0.0",
              "Lambda_list": "1e4,-1e4,5,-5,0,700,nan,-0.0,53", "y_step": 0.25}
+# labels in the exponent form (1e-5), printed by "%" itself (1e-7, 5e-324, 1e17) and -0
+LABEL_GRID = {"y_start": 0, "y_stop": 3e-5, "y_step": 1e-5,
+              "p_list": "1e-7,0.6,1", "Lambda_list": "5e-324,-0.0,1e17,2.5"}
 # the calibration of demos/03_equilibrium_tour.py under which no region is self-consistent
 NO_EQUILIBRIUM = ModelParams(
     mu_D=0.015, sigma_D=0.01, H=0.5, epsilon=0.1, gamma_C=3.0, gamma_M=3.0,
@@ -61,6 +65,7 @@ def calls(tmp: Path) -> list[tuple[str, list[str]]]:
     huge = write_config(tmp / "huge.cfg", N=2000, refine=8, D0=9.5e16)
     bench = write_config(tmp / "bench.cfg", **BENCH_GRID)
     edge = write_config(tmp / "edge.cfg", **EDGE_GRID)
+    labels = write_config(tmp / "labels.cfg", **LABEL_GRID)
     none = write_config(tmp / "none.cfg", NO_EQUILIBRIUM)
     bad_rho = write_config(tmp / "bad_rho.cfg", dataclasses.replace(BASE_PARAMS, rho=-1.0))
     bad_list = write_config(tmp / "bad_list.cfg", p_list="1,x")
@@ -79,6 +84,8 @@ def calls(tmp: Path) -> list[tuple[str, list[str]]]:
                          "--figures", "{out}/figures"]),
         ("sweep_edge", ["--config", edge, "--out", "{out}/sweep.csv", "sweep",
                         "--figures", "{out}/figures"]),
+        ("sweep_labels", ["--config", labels, "--out", "{out}/sweep.csv", "sweep",
+                          "--figures", "{out}/figures"]),
     ]
     for y in ("0", "0.5", "0.9", "1"):
         for L in ("0", "-13"):
