@@ -231,14 +231,24 @@ def write_sweep_csv(path, grid) -> np.ndarray:
                              for lo in range(0, ny * nL, _BLOCK)]).reshape(n_p, ny, nL, k, _CELL)
     fields[code == 0] = 0
     code = code.transpose(1, 0, 2)
-    table = np.empty((ny, n_p, nL, len(SWEEP_HEADER), _CELL), np.uint8)
-    table[:, :, :, 0] = _cells(grid.y)[:, None, None]
-    table[:, :, :, 1] = _cells(grid.p)[:, None]
-    table[:, :, :, 2] = _cells(grid.Lam)
-    table[:, :, :, 3] = _CODE_CELLS[code]
-    table[:, :, :, 4:-1] = fields.transpose(1, 0, 2, 3, 4)
-    table[:, :, :, -1] = _CODE_CELLS[np.minimum(code, 1)]
-    _write_table(path, SWEEP_HEADER, [_text(table.reshape(-1, len(SWEEP_HEADER), _CELL))])
+    y_cells, p_cells, L_cells = _cells(grid.y), _cells(grid.p), _cells(grid.Lam)
+
+    # blocks of whole y rows, about _BLOCK / 4 lines each: a block's text is held three times over
+    step = max(1, _BLOCK // (4 * n_p * nL or 1))
+
+    def blocks():
+        for lo in range(0, ny, step):
+            ys = slice(lo, lo + step)
+            table = np.empty((len(y_cells[ys]), n_p, nL, len(SWEEP_HEADER), _CELL), np.uint8)
+            table[:, :, :, 0] = y_cells[ys, None, None]
+            table[:, :, :, 1] = p_cells[:, None]
+            table[:, :, :, 2] = L_cells
+            table[:, :, :, 3] = _CODE_CELLS[code[ys]]
+            table[:, :, :, 4:-1] = fields[:, ys].transpose(1, 0, 2, 3, 4)
+            table[:, :, :, -1] = _CODE_CELLS[np.minimum(code[ys], 1)]
+            yield _text(table.reshape(-1, len(SWEEP_HEADER), _CELL))
+
+    _write_table(path, SWEEP_HEADER, blocks())
     return fields
 
 

@@ -31,7 +31,8 @@ the identical test.  So y = 0, like y = 1, is an explicit limit of one branch.
 Every state is priced by one vectorised code path, :func:`equilibrium_batch`:
 the parameter constants are validated and derived once per parameter set,
 each candidate is priced once per batch, and every formula is elementwise
-over the states, so a scalar solve is a batch of one.
+over the states.  A single state is a 0-d batch: the same path runs on numpy
+scalars, and only the candidate and region tables stay arrays.
 The preference adjustment is the exponential ratio varphi = exp(beta Lambda)
 set by ``ModelParams.beta1``/``beta2``.  A state whose exponential overflows
 or whose formulas produce a non-finite value gets its own error; the other
@@ -93,10 +94,10 @@ def x_star(n_C, k: float, p: float):
 class _Failures:
     """The first error of each state of a batch; None while the state prices."""
 
-    def __init__(self, y: np.ndarray, Lam: np.ndarray):
-        self.y, self.Lam = y, Lam
-        self.err: list[Exception | None] = [None] * len(y)
-        self.failed = np.zeros(len(y), dtype=bool)
+    def __init__(self, y, Lam):
+        self.y, self.Lam = np.ravel(y), np.ravel(Lam)  # flat, like err and failed
+        self.err: list[Exception | None] = [None] * self.y.size
+        self.failed = np.zeros(self.y.size, dtype=bool)
 
     def flag(self, mask, text, kind=EquilibriumError) -> None:
         """Record ``kind(text(i))`` (or ``kind(text)``) for each masked state
@@ -167,7 +168,7 @@ def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndar
     inf = np.isinf(varphi)
     if np.count_nonzero(inf):
         fail.flag(np.isfinite(Lam) & inf,
-                  lambda i: f"adjustment functions failed at Lambda={Lam[i]:g}: math range error")
+                  lambda i: f"adjustment functions failed at Lambda={fail.Lam[i]:g}: math range error")
     return varphi, beta, beta * beta
 
 
@@ -188,23 +189,23 @@ def _context(params: ModelParams, y, Lam, lam) -> tuple[_Ctx, _Failures]:
         validate(params)
         raise
     P, d = params, k["d"]
-    y, Lam, lam = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, Lam, lam))
+    y, Lam, lam = (np.asarray(v, dtype=float)[()] for v in (y, Lam, lam))  # 0-d: numpy scalars
     fail = _Failures(y, Lam)
     inside = (y >= 0.0) & (y <= 1.0)
-    if np.count_nonzero(inside & np.isfinite(Lam + lam)) < len(y):
-        fail.flag(~inside,
-                  lambda i: f"consumption share y must lie in [0, 1], got {float(y[i])!r}", ValueError)
+    if np.count_nonzero(inside & np.isfinite(Lam + lam)) < np.size(y):
+        fail.flag(~inside, lambda i: f"consumption share y must lie in [0, 1], got {float(fail.y[i])!r}",
+                  ValueError)
         fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
     varphi, r1, r2 = _adjust(d, Lam, fail)
-    # powers of varphi, not exp(beta_i Lambda): folding would change the
-    # rounding, and a varphi that underflows to 0 (Lambda = -1e4) fails here
-    qC = rho_C * varphi**d.theta_C
-    qM = rho_M * varphi**d.theta_M
+    # np.power(varphi, theta): exp(theta beta Lambda), or ** on a numpy scalar (libm pow), rounds
+    # otherwise; a varphi that underflows to 0 (Lambda = -1e4) fails here
+    qC = rho_C * np.power(varphi, d.theta_C)
+    qM = rho_M * np.power(varphi, d.theta_M)
     y1 = 1.0 - y
     C = y1 / qC + y / qM
     A = P.sigma_D - (d.h / P.epsilon) * r1 * (d.theta_C * y1 + d.theta_M * y)
-    if np.count_nonzero(np.isfinite(qC + qM + C + A)) < len(y):  # finite only if every term is
-        finite = np.isfinite([qC, qM, C, A])
+    if np.count_nonzero(np.isfinite(qC + qM + C + A)) < np.size(y):  # finite only if every term is
+        finite = np.isfinite([qC, qM, C, A]).reshape(4, -1)
         labels = ("consumption-wealth ratio of C", "consumption-wealth ratio of M",
                   "wealth aggregator", "volatility numerator")
         fail.flag(~finite.all(axis=0),
@@ -226,8 +227,8 @@ def _context(params: ModelParams, y, Lam, lam) -> tuple[_Ctx, _Failures]:
 
 
 # ---------------------------------------------------------------------------
-# The formula set: elementwise over states, broadcasting over a leading
-# candidate axis (holdings of shape (k, S) against per-state arrays (S,))
+# The formula set: elementwise over states, broadcasting over a leading candidate
+# axis (holdings (k, S) against per-state arrays (S,), or (k,) against scalars)
 
 
 def _rate(c: _Ctx, n_C, x, kappa, sigma):
@@ -311,9 +312,9 @@ def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
     a simple root moves by about kappa eps ||comp||: near an edge by at most
     3.9 eps ||comp||_F = 1.5e-15 in an 874k-state scan, 1/600 of tau.
 
-    Arguments broadcast to (S,); returns (3, S): each state's roots in
-    ascending order, padded with NaN.  A state with non-finite coefficients
-    has no roots.
+    Arguments broadcast to the batch shape, (S,) or (); returns (3,) plus
+    that shape: each state's roots in ascending order, padded with NaN.  A
+    state with non-finite coefficients has no roots.
     """
     t = 2.0 * b0 * b1
     c0 = n2 + a * b0 * b0
@@ -337,8 +338,8 @@ def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
 
 
 def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
-    """The four candidate holdings and their prices, as one (6, 4, S) table of
-    [holding, x, sigma, kappa, r, mu] per candidate.
+    """The four candidate holdings and their prices, as one table of shape
+    (6, 4) plus the batch shape: [holding, x, sigma, kappa, r, mu] per candidate.
 
     Region 1 takes the root whose objective under its own prices is largest
     (the smallest such root on ties).  ``live`` masks the interior states
@@ -347,11 +348,11 @@ def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
     P, d = c.P, c.d
     n2 = _n2(c)
     G = (1.0 - P.p) * c.net_l * c.y / (2.0 * P.H * c.e2h * d.delta_M * c.qM * c.A * c.A)
-    a = np.where(c.A == 0.0, 0.0, n2 * G)  # at p = 1 the fixed point is n2 for any A
+    a = np.where(c.A == 0.0, 0.0, n2 * G)[()]  # at p = 1 the fixed point is n2 for any A
     g0 = n2 + a * c.qM * c.qM
     g1 = n2 - 1.0 + a * (1.0 - 1.0 / c.n3) * c.qC * c.qC
     roots = _fixed_point_roots(n2, c.n3, a, c.qM, c.qC - c.qM)
-    cols = np.empty((6, len(n2)))
+    cols = np.empty((6,) + np.shape(n2))
     cols[:3], cols[3], cols[4], cols[5] = roots, n2, c.n3, 1.0
     # [holding, x, sigma, kappa, r, mu] of the three roots and three closed forms
     table = np.array([cols, *_prices(c, cols)])
@@ -366,7 +367,7 @@ def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
         n, x, sigma, kappa, r, mu = table[:, :3]
         J_roots = _J(c, n, x, r, mu, sigma)
         best = np.where(np.isfinite(J_roots), J_roots, -np.inf).argmax(axis=0)
-        cand[:, 0] = table[:, best, np.arange(len(best))]
+        cand[:, 0] = np.take_along_axis(table, best[None, None], 1)[:, 0]
     else:
         cand[:, 0] = table[:, 0]
     return cand
@@ -374,8 +375,10 @@ def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
 
 def _flag_candidates(c: _Ctx, fail: _Failures, live, g0, g1, roots, cols, finite) -> None:
     """Record the candidate stage's failures of the live states, in check order."""
+    live, g0, g1, A = (np.ravel(v) for v in (live, g0, g1, c.A))  # one trailing state axis
+    roots, cols, finite = roots.reshape(3, -1), cols.reshape(6, -1), finite.reshape(4, 6, -1)
     if c.P.p < 1.0:
-        fail.flag(live & (c.A == 0.0),
+        fail.flag(live & (A == 0.0),
                   "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
                   "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")
     fail.flag(live & ~((g0 >= 0.0) & (g1 <= 0.0)),
@@ -490,14 +493,15 @@ def _finish(c: _Ctx, fail: _Failures, code, n_C, x, sigma, kappa, r, mu, tests=N
     sigma_y is zero at the boundary.  A state whose existing equilibrium has
     a non-finite field fails.
     """
-    sigma_y = np.where(code == _BOUNDARY, 0.0, _sigma_y(c, kappa))
+    sigma_y = np.where(code == _BOUNDARY, 0.0, _sigma_y(c, kappa))[()]
     mu_y = _mu_y(c, x, kappa, r, sigma_y)
     # mu_H = mu + sigma Lambda absorbs the memory drift, sigma_H = sqrt(2H) eps^h sigma
     # is the volatility the Brownian shock carries, and mu_G = mu_H + (1 - x*) D/S
     # adds back the undiverted dividend yield
     mu_H = mu + sigma * c.Lam
-    fields = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y, mu_H,
-                       c.vol * sigma, mu_H + (1.0 - x) * c.D_S, c.D_S, c.D_WC, c.S_WC, c.qC, c.qM])
+    fields = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y, mu_H, c.vol * sigma,
+                       mu_H + (1.0 - x) * c.D_S, c.D_S, c.D_WC, c.S_WC, c.qC, c.qM])
+    fields, code = fields.reshape(len(_FIELDS), -1), np.reshape(code, -1)  # 0-d: add a state axis
     finite = np.isfinite(fields[:len(RESULT_FIELDS)])
     if np.count_nonzero(finite) < finite.size:
         fail.flag((code != _NONEXISTENT) & ~finite.all(axis=0), lambda i: (
@@ -505,7 +509,7 @@ def _finish(c: _Ctx, fail: _Failures, code, n_C, x, sigma, kappa, r, mu, tests=N
     code = np.where(fail.failed, _NONEXISTENT, code)
     if np.count_nonzero(code) < len(code):
         fields[:len(RESULT_FIELDS) - 1, code == _NONEXISTENT] = np.nan
-    return _Batch(c.P.p, np.array([c.y, c.Lam, c.lam]), code, fields, fail.err, tests)
+    return _Batch(c.P.p, np.array([c.y, c.Lam, c.lam]).reshape(3, -1), code, fields, fail.err, tests)
 
 
 def _results(b: _Batch) -> list:
@@ -539,10 +543,10 @@ def _solve(params: ModelParams, y, Lam, lam) -> _Batch:
     """
     c, fail = _context(params, y, Lam, lam)
     interior = (y > 0.0) & (y < 1.0)
-    live = interior & ~fail.failed
+    live = interior & ~fail.failed.reshape(np.shape(y))
     cand = _candidates(c, fail, live)
     code, j, tables, avail = _select(c, cand, live)
-    n_C, x, sigma, kappa, r, mu = cand[:, j, np.arange(len(y))]
+    n_C, x, sigma, kappa, r, mu = np.take_along_axis(cand, j[None, None], 1)[:, 0]
     boundary = ~interior
     if np.count_nonzero(boundary):
         # explicit limits: the sole owner holds the firm undiverted, and the
@@ -555,7 +559,8 @@ def _solve(params: ModelParams, y, Lam, lam) -> _Batch:
         kappa = np.where(boundary, c.vol * delta * c.A, kappa)
         r = _rate(c, n_C, x, kappa, sigma)
         mu = _mu(c, r, sigma, kappa, x)
-    return _finish(c, fail, code, n_C, x, sigma, kappa, r, mu, tests=(tables, cand[0], avail))
+    tests = (tables.reshape(4, 4, -1), cand[0].reshape(4, -1), avail.reshape(4, -1))
+    return _finish(c, fail, code, n_C, x, sigma, kappa, r, mu, tests)
 
 
 def _first(batch: _Batch) -> EquilibriumResult:
@@ -598,15 +603,15 @@ def equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
     If no region is self-consistent the result carries exists=False and the
     objective tables of all four regions.
 
-    Boundary states y in {0, 1} follow :func:`boundary_equilibrium`.  This is
-    :func:`equilibrium_batch` on a batch of one.
+    Boundary states y in {0, 1} follow :func:`boundary_equilibrium`.  A single
+    state is a 0-d batch: it runs the code path of :func:`equilibrium_batch`
+    on numpy scalars, with the same results bit for bit.
 
     Raises:
         ValueError: if the parameters are invalid.
         EquilibriumError: if the solve fails at this state.
     """
-    arrays = (np.array([v], dtype=float) for v in (state.y, state.Lambda, state.lambda_small))
-    return _first(_solve(params, *arrays))
+    return _first(_solve(params, *map(np.float64, (state.y, state.Lambda, state.lambda_small))))
 
 
 @np.errstate(all="ignore")
@@ -620,7 +625,7 @@ def benchmark_equilibrium(state: MarketState, params: ModelParams) -> Equilibriu
         raise ValueError("benchmark equilibrium requires y strictly inside (0, 1)")
     c, fail = _context(replace(params, p=1.0), state.y, state.Lambda, state.lambda_small)
     n_B = _n2(c)
-    return _first(_finish(c, fail, np.full(1, 2), n_B, *_prices(c, n_B)))
+    return _first(_finish(c, fail, 2, n_B, *_prices(c, n_B)))
 
 
 def boundary_equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
@@ -655,7 +660,7 @@ def benchmark_differences(
     d_sigma = bench.sigma * (c.qM - c.qC) * dn / B_eq
     d_kappa = -c.vol * c.qC * c.A * dn / (mix * B_eq * bench.n_M)
     d_sigma_y = -c.y * c.qC * c.A * dn / (c.d.delta_M * mix * B_eq * bench.n_M)
-    return float(d_sigma[0]), float(d_kappa[0]), float(d_sigma_y[0])
+    return float(d_sigma), float(d_kappa), float(d_sigma_y)
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +733,8 @@ def partial_policies(prices: Prices, state: MarketState, params: ModelParams) ->
         2.0 * P.H * c.e2h * c.d.delta_M * prices.S_over_WM * prices.sigma**2
     )
     return PartialPolicies(
-        c_coeff_C=float(c.qC[0]),
-        c_coeff_M=float(c.qM[0]),
+        c_coeff_C=float(c.qC),
+        c_coeff_M=float(c.qM),
         n_C_candidates=tuple(n[:, 0].tolist()),
         available=tuple(avail[:, 0].tolist()),
         J_values=tuple(J[:, 0].tolist()),

@@ -2,6 +2,7 @@ import importlib
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -384,12 +385,12 @@ def test_boundary_y_zero_has_one_branch(monkeypatch):
     assert equilibrium(MarketState(1e-4, -13.0), BASE_PARAMS).region == "nonexistent"
     b = equilibrium(MarketState(0.0, -13.0), BASE_PARAMS)
     assert b.region == "boundary" and math.isclose(b.kappa, kappa0, rel_tol=1e-14)
-    # a scalar y = 0 solve is a batch of that one state
+    # a scalar y = 0 solve is one 0-d batch: that one state, as a numpy scalar
     eqmod = importlib.import_module("fbmecon.equilibrium")
-    sizes, context = [], eqmod._context
-    monkeypatch.setattr(eqmod, "_context", lambda P, y, *a: sizes.append(len(y)) or context(P, y, *a))
+    shapes, context = [], eqmod._context
+    monkeypatch.setattr(eqmod, "_context", lambda P, y, *a: shapes.append(np.shape(y)) or context(P, y, *a))
     equilibrium(MarketState(0.0), BASE_PARAMS)
-    assert sizes == [1]
+    assert shapes == [()]
 
 
 def test_equilibrium_routes_boundaries():

@@ -344,33 +344,80 @@ def test_scalar_is_the_batch_bitwise(params):
     assert params is not NOEQ or "nonexistent" in kinds
 
 
-def test_first_error_of_each_stage_is_pinned():
+def _vanishing_numerator():
     # H < 1/2 makes h < 0, so this sigma_D zeroes the volatility numerator
     # A = sigma_D - (h/eps) beta (theta_C (1-y) + theta_M y) at y = 0.5 exactly
     params = replace(BASE_PARAMS, H=0.35, beta1=10.0)
     d = derive_constants(params)
-    params = replace(params, sigma_D=(d.h / params.epsilon) * d.beta * (d.theta_C * 0.5 + d.theta_M * 0.5))
-    cases = [
-        ((1.5, 0.0, 0.0), ValueError("consumption share y must lie in [0, 1], got 1.5")),
-        ((1.5, -1e4, math.nan), ValueError("consumption share y must lie in [0, 1], got 1.5")),
-        ((0.5, math.nan, 0.0), ValueError("memory levels must be finite")),
-        ((0.5, 1e4, math.nan), ValueError("memory levels must be finite")),
-        ((0.5, 1e4, 0.0), EquilibriumError("adjustment functions failed at Lambda=10000: math range error")),
-        ((0.5, -1e4, 0.0), EquilibriumError("non-finite consumption-wealth ratio of C at y=0.5, Lambda=-10000")),
-        ((0.5, 0.0, 0.0), EquilibriumError(
-            "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
-            "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")),
-        ((0.3, 0.0, 1e308), EquilibriumError(
-            "r formula produced a non-finite value at y=0.3, Lambda=0, n_C=0.839049")),
-    ]
-    ys, Ls, ls = (list(v) for v in zip(*(state for state, _ in cases)))
-    for (state, want), got in zip(cases, equilibrium_batch(ys + [0.3], Ls + [0.0], ls + [0.0], params)):
+    return replace(params, sigma_D=(d.h / params.epsilon) * d.beta * (d.theta_C * 0.5 + d.theta_M * 0.5))
+
+
+VANISHING = _vanishing_numerator()
+# the first error of each stage under VANISHING, in stage order
+STAGE_ERRORS = [
+    ((1.5, 0.0, 0.0), ValueError("consumption share y must lie in [0, 1], got 1.5")),
+    ((1.5, -1e4, math.nan), ValueError("consumption share y must lie in [0, 1], got 1.5")),
+    ((0.5, math.nan, 0.0), ValueError("memory levels must be finite")),
+    ((0.5, 1e4, math.nan), ValueError("memory levels must be finite")),
+    ((0.5, 1e4, 0.0), EquilibriumError("adjustment functions failed at Lambda=10000: math range error")),
+    ((0.5, -1e4, 0.0), EquilibriumError("non-finite consumption-wealth ratio of C at y=0.5, Lambda=-10000")),
+    ((0.5, 0.0, 0.0), EquilibriumError(
+        "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
+        "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")),
+    ((0.3, 0.0, 1e308), EquilibriumError(
+        "r formula produced a non-finite value at y=0.3, Lambda=0, n_C=0.839049")),
+]
+# the root stage: at an extreme memory level eigvals finds no root in [0, 1]
+ROOTLESS = replace(BASE_PARAMS, beta1=0.5)
+ROOTLESS_STATE = (0.007627729982231036, -585.5035095049648, 0.0)
+ROOTLESS_ERROR = EquilibriumError("no Region-1 fixed point found on [0, 1] despite the bracket guarantee")
+
+
+def test_first_error_of_each_stage_is_pinned():
+    ys, Ls, ls = (list(v) for v in zip(*(state for state, _ in STAGE_ERRORS)))
+    batch = equilibrium_batch(ys + [0.3], Ls + [0.0], ls + [0.0], VANISHING)
+    cases = [(VANISHING, state, want, got) for (state, want), got in zip(STAGE_ERRORS, batch)]
+    (got,) = equilibrium_batch(*ROOTLESS_STATE, ROOTLESS)
+    cases.append((ROOTLESS, ROOTLESS_STATE, ROOTLESS_ERROR, got))
+    for params, state, want, got in cases:
         assert _outcome(got) == _outcome(want), state
-    # the root stage: at an extreme memory level eigvals finds no root in [0, 1]
-    (got,) = equilibrium_batch(0.007627729982231036, -585.5035095049648, 0.0,
-                               replace(BASE_PARAMS, beta1=0.5))
-    assert _outcome(got) == _outcome(EquilibriumError(
-        "no Region-1 fixed point found on [0, 1] despite the bracket guarantee"))
+        # a 0-d batch (MarketState itself rejects the invalid states) fails alike
+        try:
+            got = eqmod._first(eqmod._solve(params, *(np.float64(v) for v in state)))
+        except (ValueError, EquilibriumError) as exc:
+            got = exc
+        assert _outcome(got) == _outcome(want), state
+
+
+_U = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.builds(lambda p, k, beta1: replace(BASE_PARAMS, p=p, k=k, beta1=beta1),
+                     st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]), st.sampled_from([0.5, 3.0, 20.0]),
+                     st.sampled_from([0.0, 0.1, 0.5, 2.0, 10.0])),
+    y=st.one_of(st.sampled_from([0.0, 1.0, 1e-9]), _U, _U.map(lambda u: u**8)),
+    L=st.floats(-800.0, 800.0),
+    lam=st.floats(-1.0, 1.0),
+)
+@example(params=VANISHING, y=1.5, L=0.0, lam=0.0)
+@example(params=VANISHING, y=1.5, L=-1e4, lam=math.nan)
+@example(params=VANISHING, y=0.5, L=math.nan, lam=0.0)
+@example(params=VANISHING, y=0.5, L=1e4, lam=math.nan)
+@example(params=VANISHING, y=0.5, L=1e4, lam=0.0)
+@example(params=VANISHING, y=0.5, L=-1e4, lam=0.0)
+@example(params=VANISHING, y=0.5, L=0.0, lam=0.0)
+@example(params=VANISHING, y=0.3, L=0.0, lam=1e308)
+@example(params=ROOTLESS, y=ROOTLESS_STATE[0], L=ROOTLESS_STATE[1], lam=ROOTLESS_STATE[2])
+def test_scalar_entry_is_a_batch_of_one_property(params, y, L, lam):
+    # the scalar entry runs the batch path on numpy scalars; its powers go
+    # through np.power, whose rounding on scalars is that of the array loops
+    try:
+        scalar = equilibrium(MarketState(y, L, lam), params)
+    except (ValueError, EquilibriumError) as exc:
+        scalar = exc
+    assert _outcome(scalar) == _outcome(equilibrium_batch([y], [L], [lam], params)[0])
 
 
 def test_constants_are_derived_once_per_parameter_set(monkeypatch):

@@ -3,9 +3,11 @@
 Each line is a key naming the state, then the sha256 of ``repr`` of its
 EquilibriumResult or of the exception it failed with.  The grid crosses
 protection levels, diversion costs, memory slopes, both boundaries and
-extreme memory levels (NaN and +-1e4 included); then come boundary calls and
-one digest of a whole ``sweep``.  Run it on two versions of the package and
-diff the outputs to list exactly the states whose results changed:
+extreme memory levels (NaN and +-1e4 included); then come its interior
+states with finite memory levels solved one at a time by ``equilibrium``
+(+-1e4 fail), boundary calls and one digest of a whole ``sweep``.  Run it on
+two versions of the package and diff the outputs to list exactly the states
+whose results changed:
 
     PYTHONPATH=src python tools/result_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/result_digest.py > old.txt
@@ -21,7 +23,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from fbmecon import BASE_PARAMS, MarketState, boundary_equilibrium, equilibrium_batch, sweep
+from fbmecon import (BASE_PARAMS, MarketState, boundary_equilibrium, equilibrium,
+                     equilibrium_batch, sweep)
 
 P_VALUES = (0.0, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0)
 K_VALUES = (0.5, 3.0, 20.0)
@@ -51,6 +54,12 @@ def main() -> None:
             results = [results] * len(y)
         for yi, Li, res in zip(y.tolist(), Lam.tolist(), results):
             print(f"grid p={p!r} k={k!r} beta1={beta1!r} lam={lam!r} y={yi!r} Lambda={Li!r} "
+                  f"{digest(res)}")
+    for p, k, beta1, lam in itertools.product(P_VALUES, K_VALUES, BETA1_VALUES, LAM_VALUES):
+        params = replace(BASE_PARAMS, p=p, k=k, beta1=beta1)
+        for yi, Li in itertools.product(Y_VALUES[1:-1], LAMBDA_VALUES[1:]):
+            res = outcome(equilibrium, MarketState(yi, Li, lam), params)
+            print(f"scalar p={p!r} k={k!r} beta1={beta1!r} lam={lam!r} y={yi!r} Lambda={Li!r} "
                   f"{digest(res)}")
     for p, yb, L in itertools.product((0.0, 0.6, 1.0), (0.0, 0.5, 1.0), (-13.0, 0.0, 5.0)):
         res = outcome(boundary_equilibrium, MarketState(yb, L), replace(BASE_PARAMS, p=p))
