@@ -106,6 +106,7 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
         ValueError: on length mismatch, non-finite samples, or invalid
             parameters (see :func:`~fbmecon.params.validate`; the inversion
             divides by sqrt(2H) eps^h sigma_D).
+        FloatingPointError: if the solve overflows (coarse grids, small epsilon, H near 1).
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (grid.N + 1,):
@@ -125,13 +126,19 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
         a = np.empty(grid.N)
         a[0] = vol
         a[1:] = sdt * _LagWeights(grid.N - 1, dt, params.epsilon, *lam_kernel)[:]
-        dw_hat = _causal_convolve(_series_inverse(a), b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dw_hat = _causal_convolve(_series_inverse(a), b)
+        if not np.all(np.isfinite(dw_hat)):
+            raise FloatingPointError(f"recovered increments are not finite at H = {params.H:g}, epsilon = "
+                                     f"{params.epsilon:g}, N = {grid.N}: use a finer grid or a larger epsilon")
     lam_big, lam_small = memory_exact(grid, dw_hat, params)
     return MemoryEstimate(grid=grid, dw_hat=dw_hat, Lambda_hat=lam_big, lambda_hat=lam_small)
 
 
 def classify_memory(Lambda_terminal: float) -> str:
-    """Classify terminal memory by its sign: 'good', 'bad', or 'none' within 1e-12 of 0."""
+    """Classify finite terminal memory by its sign: 'good', 'bad', or 'none' within 1e-12 of 0."""
+    if not np.isfinite(Lambda_terminal):
+        raise ValueError(f"terminal memory {Lambda_terminal} is not finite")
     if abs(Lambda_terminal) <= _DEAD_BAND:
         return "none"
     return "good" if Lambda_terminal > 0 else "bad"

@@ -107,12 +107,13 @@ def _causal_convolve(a: np.ndarray, b, stride: int = 1) -> np.ndarray:
     samples, or one block when shorter) and transformed with zero padding
     to twice the block length.  Output block r is the inverse transform of
     sum_{p + q = r} A_p B_q, whose second half spills into block r + 1.
-    Each block of b is read once and its spectrum kept; the spectra of a
-    are recomputed where they are used, and each finished block gives up
-    its stride-th terms at once, so the memory beyond the result is that of
-    one spectrum set.  Every term is computed the same way whatever the
-    stride.  The rounding error of a term is a small multiple of the unit
-    roundoff times the norms of the blocks that meet there.
+    The spectrum of each block of a and of b is computed once and kept: P
+    blocks cost 2P forward and P inverse transforms, and the memory beyond
+    the result is two spectrum sets of P (n_fft / 2 + 1) complex values.
+    Spectra are multiplied in one stated order (``term``), and each finished
+    block gives up its stride-th terms at once, so every term is computed the
+    same way whatever the stride.  The rounding error of a term is a small
+    multiple of the unit roundoff times the norms of the blocks that meet there.
     """
     m = len(a)
     blk = min(_BLOCK, m)
@@ -121,14 +122,21 @@ def _causal_convolve(a: np.ndarray, b, stride: int = 1) -> np.ndarray:
     def spectrum(x, p):
         return np.fft.rfft(x[p * blk : (p + 1) * blk], n_fft)
 
-    fb = []
+    # numpy's complex multiply is not bitwise commutative.  The order is that
+    # of b's spectrum times a fresh spectrum of a, which numpy evaluates in
+    # place in the temporary, as a's times b's, once it holds 256 KiB.
+    def term(p, q):
+        return fa[p] * fb[q] if n_fft > _BLOCK else fb[q] * fa[p]
+
+    fa, fb = [], []
     out = np.empty(m // stride)
     spill = 0.0
     for r in range(-(-m // blk)):
+        fa.append(spectrum(a, r))
         fb.append(spectrum(b, r))
-        acc = fb[0] * spectrum(a, r)
+        acc = term(r, 0)
         for p in range(r):
-            acc += fb[r - p] * spectrum(a, p)
+            acc += term(p, r - p)
         c = np.fft.irfft(acc, n_fft)
         lo = r * blk
         first = (stride - 1 - lo) % stride

@@ -188,6 +188,23 @@ def test_estimate_rejects_nan_time(cfg, tmp_path, capsys, at):
     assert "non-uniform grid at line 3: spacing" in err and "nan" in err
 
 
+@pytest.mark.parametrize("N", [1024, 2048])
+def test_estimate_overflowing_recovery_is_runtime_failure(tmp_path, N):
+    # the recovery overflows at H = 0.98, epsilon = 1e-5 on these grids: exit 2
+    # with one error line, no memory CSV and no numpy warning text
+    cfg = write_cfg(tmp_path / "steep.cfg", {"H": 0.98, "epsilon": 1e-5}, {"N": N, "refine": 4})
+    data, out = tmp_path / "paths.csv", tmp_path / "memory.csv"
+    assert main(["--config", str(cfg), "--seed", "0", "--out", str(data), "simulate"]) == 0
+    proc = run_module("fbmecon", "--config", str(cfg), "--out", str(out), "estimate", str(data),
+                      "--summary")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not out.exists()
+    assert "Warning" not in proc.stderr, proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"error: recovered increments are not finite at H = 0.98, epsilon = 1e-05, N = {N}: "
+        "use a finer grid or a larger epsilon")
+
+
 def test_estimate_infinite_last_time_prints_one_line(cfg, tmp_path):
     # inf - inf in the spacing test must not leak a numpy warning to stderr
     data = tmp_path / "times.csv"

@@ -16,6 +16,7 @@ from fbmecon import (
     kernel_sums,
     memory_exact,
     simulate_brownian,
+    simulate_bundle,
     simulate_output,
 )
 from fbmecon.paths import _kernel
@@ -203,6 +204,23 @@ def test_classify_memory():
     assert classify_memory(-0.2) == "bad"
     assert classify_memory(0.0) == "none"
     assert classify_memory(5e-13) == "none"  # dead band
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            classify_memory(level)
+
+
+@pytest.mark.parametrize("N", [1024, 2048])
+def test_overflowing_recovery_raises(N):
+    # H = 0.98 and epsilon = 1e-5 on a coarse grid: the Toeplitz inverse
+    # overflows, and the recovery says so instead of returning NaN memory
+    params = replace(BASE_PARAMS, H=0.98, epsilon=1e-5)
+    grid = TimeGrid(1.0, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the small-epsilon advisory
+        Z = simulate_bundle(grid, params, seed=0, refine=4).Z
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatingPointError, match=f"H = 0.98, epsilon = 1e-05, N = {N}: use a finer grid"):
+            estimate_memory(Z, grid, params)
 
 
 # ---------------------------------------------------------------------------
