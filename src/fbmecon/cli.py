@@ -180,7 +180,7 @@ def _cmd_equilibrium(args) -> int:
     state = MarketState(args.y, args.Lambda, args.lam)
     _log(f"equilibrium: y={args.y:g} p={params.p:g} Lambda={args.Lambda:g}")
     grid = _price_grid(params, [state.y], [params.p], [state.Lambda], state.lambda_small)
-    res = _first(grid.batches[0])
+    res = _first(grid.batch)
     if args.out:
         csvio.write_sweep_csv(Path(args.out), grid)
         _log(f"equilibrium: wrote {args.out}")
@@ -192,15 +192,15 @@ def _cmd_sweep(args) -> int:
     rc = _load_run_config(args)
     out = _require_out(args)
     ys = rc.y_grid()
-    rows = len(ys) * len(rc.p_list) * len(rc.Lambda_list)
     _log(f"sweep: {len(ys)} x {len(rc.p_list)} x {len(rc.Lambda_list)} states "
          f"(y, p, Lambda), lambda={rc.lam:g}")
     grid = _price_grid(rc.params, ys, rc.p_list, rc.Lambda_list, lam=rc.lam)
-    failures = [row for row in grid.in_order([b.err for b in grid.batches]) if row[3] is not None]
-    for y, p, L, exc in failures:
+    b = grid.batch
+    failures = [(*b.states[:, i].tolist(), exc) for i, exc in enumerate(b.err) if exc is not None]
+    for y, L, _, p, exc in failures:
         _log(f"sweep: row (y={y:g}, p={p:g}, Lambda={L:g}) failed: {exc}")
     cells = csvio.write_sweep_csv(out, grid)
-    _log(f"sweep: wrote {out} ({rows} rows, {len(failures)} failures)")
+    _log(f"sweep: wrote {out} ({b.code.size} rows, {len(failures)} failures)")
     if args.figures:
         csvio.write_figures(Path(args.figures), grid, cells)
         _log(f"sweep: wrote figure files to {args.figures}")

@@ -221,35 +221,25 @@ _CODE_CELLS = np.array([b"0", b"1", b"2", b"3", b"4", b"boundary"], f"S{_CELL}")
 def write_sweep_csv(path, grid) -> np.ndarray:
     """The sweep CSV of a priced grid, rows in (y, p, Lambda) order.
 
-    Returns the RESULT_FIELDS cells of its states, shaped (p, y, Lambda,
+    Returns the RESULT_FIELDS cells of its states, shaped (y, p, Lambda,
     field, _CELL) and empty where a state has no equilibrium, for
     :func:`write_figures`.
     """
-    ny, n_p, nL, k = len(grid.y), len(grid.p), len(grid.Lam), len(RESULT_FIELDS)
-    code = np.array([b.code for b in grid.batches], np.intp).reshape(n_p, ny, nL)
-    fields = np.concatenate([_cells(b.fields[:k, lo:lo + _BLOCK].T) for b in grid.batches
-                             for lo in range(0, ny * nL, _BLOCK)]).reshape(n_p, ny, nL, k, _CELL)
-    fields[code == 0] = 0
-    code = code.transpose(1, 0, 2)
-    y_cells, p_cells, L_cells = _cells(grid.y), _cells(grid.p), _cells(grid.Lam)
-
-    # blocks of whole y rows, about _BLOCK / 4 lines each: a block's text is held three times over
-    step = max(1, _BLOCK // (4 * n_p * nL or 1))
+    b, shape, k = grid.batch, (len(grid.y), len(grid.p), len(grid.Lam)), len(RESULT_FIELDS)
+    step = _BLOCK // 4  # rows per block; a block's cells and text are held several times over
+    fields = np.concatenate([_cells(b.fields[:k, lo:lo + step].T) for lo in range(0, b.code.size, step)])
+    fields[b.code == 0] = 0
+    iy, ip, iL = np.indices(shape).reshape(3, -1)
+    labels = np.stack((_cells(grid.y)[iy], _cells(grid.p)[ip], _cells(grid.Lam)[iL]), axis=1)
 
     def blocks():
-        for lo in range(0, ny, step):
-            ys = slice(lo, lo + step)
-            table = np.empty((len(y_cells[ys]), n_p, nL, len(SWEEP_HEADER), _CELL), np.uint8)
-            table[:, :, :, 0] = y_cells[ys, None, None]
-            table[:, :, :, 1] = p_cells[:, None]
-            table[:, :, :, 2] = L_cells
-            table[:, :, :, 3] = _CODE_CELLS[code[ys]]
-            table[:, :, :, 4:-1] = fields[:, ys].transpose(1, 0, 2, 3, 4)
-            table[:, :, :, -1] = _CODE_CELLS[np.minimum(code[ys], 1)]
-            yield _text(table.reshape(-1, len(SWEEP_HEADER), _CELL))
+        for lo in range(0, b.code.size, step):
+            rows, code = slice(lo, lo + step), b.code[lo:lo + step, None]
+            yield _text(np.concatenate((labels[rows], _CODE_CELLS[code], fields[rows],
+                                        _CODE_CELLS[np.minimum(code, 1)]), axis=1))
 
     _write_table(path, SWEEP_HEADER, blocks())
-    return fields
+    return fields.reshape(*shape, k, _CELL)
 
 
 # the plotted quantities in gallery order, with their file-name slugs: figure
@@ -284,7 +274,7 @@ def write_figures(fig_dir, grid, cells) -> None:
                     for pv in vals[panel] for sv in vals[series]]
             at_p, at_L = ([listed.index(v[var]) for _, v in cols]
                           for var, listed in (("p", grid.p), ("Lambda", grid.Lam)))
-            table = np.concatenate((labels[:, None], cells[at_p, rows[:, None], at_L, f]), axis=1)
+            table = np.concatenate((labels[:, None], cells[rows[:, None], at_p, at_L, f]), axis=1)
             name = f"fig{fig:02d}_{slug}_by_{'memory' if series == 'Lambda' else 'protection'}.csv"
             _write_table(fig_dir / name, ["y"] + [c for c, _ in cols], [_text(table)])
             manifest.append({"figure": fig, "file": name, "quantity": field, "x_axis": "y",

@@ -28,11 +28,12 @@ J(n3; 4) - J(1; 4) = x3 (1 - n3) D/W_C / 2 + K (1 - n3^2) > 0 for p < 1, with
 K = H eps^(2h) delta_C (S/W_C sigma_4)^2; at p = 1, n3 = 1 and Region 3 wins
 the identical test.  So y = 0, like y = 1, is an explicit limit of one branch.
 
-Every state is priced by one vectorised code path, :func:`equilibrium_batch`:
-the parameter constants are validated and derived once per parameter set,
-each candidate is priced once per batch, and every formula is elementwise
-over the states.  A single state is a 0-d batch: the same path runs on numpy
-scalars, and only the candidate and region tables stay arrays.
+Every state is priced by one vectorised code path, :func:`_solve`: the
+parameter constants are validated and derived once per parameter set, each
+candidate is priced once per batch, and every formula is elementwise over the
+states, protection level p included, so a sweep is one batch.  A single state
+is a 0-d batch: the same path runs on numpy scalars, and only the candidate
+and region tables stay arrays.
 The preference adjustment is the exponential ratio varphi = exp(beta Lambda)
 set by ``ModelParams.beta1``/``beta2``.  A state whose exponential overflows
 or whose formulas produce a non-finite value gets its own error; the other
@@ -120,10 +121,11 @@ class _Ctx:
     lam0: float  # sqrt(2H) h eps^(h-1), the Lambda kernel at lag zero
     e2h: float  # eps^(2h)
     net_l: float  # 1 - l_C - l_M
-    n3: float  # the kink holding 1 / (1 + (1 - p) k)
     r1: float  # varphi'/varphi = beta
     a_C: float  # 2H h eps^(2h-1) theta_C r1
     a_M: float
+    p: np.ndarray  # the protection level
+    n3: np.ndarray  # the kink holding 1 / (1 + (1 - p) k)
     y: np.ndarray
     Lam: np.ndarray
     lam: np.ndarray
@@ -142,17 +144,16 @@ class _Ctx:
 
 @lru_cache(maxsize=64)
 def _param_constants(P: ModelParams) -> tuple[dict, float, float, float]:
-    """The parameter fields of a _Ctx, rho^(1/delta_C), rho^(1/delta_M) and
-    H h^2 eps^(2h-2), derived once per parameter set (equal sets share one
-    entry; an invalid set raises on every call, as no exception is cached)."""
+    """The scalar parameter fields of a _Ctx (none depends on p), rho^(1/delta_C),
+    rho^(1/delta_M) and H h^2 eps^(2h-2), derived once per parameter set (equal
+    sets share one entry; an invalid set raises on every call: no exception is cached)."""
     validate(P)
     d = derive_constants(P)
     eps, r1 = P.epsilon, d.beta
     (p0, h0), (p1, h1) = _kernel(P, 0), _kernel(P, 1)
     a1 = 2.0 * P.H * d.h * eps ** (2.0 * d.h - 1.0) * r1
     fields = dict(d=d, vol=float(p0 * eps**h0), lam0=float(p1 * eps**h1), e2h=eps ** (2.0 * d.h),
-                  net_l=1.0 - P.l_C - P.l_M, n3=1.0 / (1.0 + (1.0 - P.p) * P.k), r1=r1,
-                  a_C=d.theta_C * a1, a_M=d.theta_M * a1)
+                  net_l=1.0 - P.l_C - P.l_M, r1=r1, a_C=d.theta_C * a1, a_M=d.theta_M * a1)
     return (fields, P.rho ** (1.0 / d.delta_C), P.rho ** (1.0 / d.delta_M),
             P.H * d.h * d.h * eps ** (2.0 * d.h - 2.0))
 
@@ -172,25 +173,45 @@ def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndar
     return varphi, beta, beta * beta
 
 
-def _context(params: ModelParams, y, Lam, lam) -> tuple[_Ctx, _Failures]:
-    """Context of a batch under one parameter set, plus its failure record.
+def _constants(P: ModelParams) -> tuple[dict, float, float, float]:
+    """:func:`_param_constants` of ``P``; a ValueError if ``P`` is invalid."""
+    try:
+        return _param_constants(P)
+    except TypeError:  # an unhashable field, which validate rejects
+        validate(P)
+        raise
+
+
+def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Failures]:
+    """Context of a batch at the protection levels ``p`` of its states, or of
+    one state (0-d) at ``params.p``, plus its failure record.
 
     The parameters are validated and their constants derived once per
-    parameter set (:func:`_param_constants`).  Invalid states (y outside
+    parameter set (:func:`_param_constants`), so once per distinct level of
+    ``p``; the states of an invalid level fail with its ValueError, and the
+    context is None when no level is valid.  Invalid states (y outside
     [0, 1], non-finite memory) fail with a ValueError; non-finite state
     quantities fail with an EquilibriumError.
 
     Raises:
-        ValueError: if the parameters are invalid (see :func:`validate`).
+        ValueError: if ``p`` is None and the parameters are invalid.
     """
-    try:
-        k, rho_C, rho_M, hh = _param_constants(params)
-    except TypeError:  # an unhashable field, which validate rejects
-        validate(params)
-        raise
-    P, d = params, k["d"]
     y, Lam, lam = (np.asarray(v, dtype=float)[()] for v in (y, Lam, lam))  # 0-d: numpy scalars
     fail = _Failures(y, Lam)
+    if p is None:
+        k, p = _constants(params), params.p
+    else:
+        k = None
+        levels, at = np.unique(p, return_inverse=True)  # all NaN levels form one group
+        for i, level in enumerate(levels.tolist()):
+            try:
+                k = _constants(replace(params, p=level))
+            except ValueError as exc:
+                fail.flag(at == i, str(exc), ValueError)
+        if k is None:
+            return None, fail
+    k, rho_C, rho_M, hh = k
+    P, d = params, k["d"]
     inside = (y >= 0.0) & (y <= 1.0)
     if np.count_nonzero(inside & np.isfinite(Lam + lam)) < np.size(y):
         fail.flag(~inside, lambda i: f"consumption share y must lie in [0, 1], got {float(fail.y[i])!r}",
@@ -214,7 +235,7 @@ def _context(params: ModelParams, y, Lam, lam) -> tuple[_Ctx, _Failures]:
     cons_M = qM - d.theta_M * lam * r1 - hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r2)
     net_l = k["net_l"]
     c = _Ctx(
-        P=P, **k, y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,
+        P=P, **k, p=p, n3=1.0 / (1.0 + (1.0 - p) * P.k), y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,
         D_S=net_l / C,
         D_WC=net_l * qC / y1,
         S_WC=C * qC / y1,
@@ -275,7 +296,7 @@ def _J(c: _Ctx, n, x, r, mu, sigma):
 
 def _prices(c: _Ctx, n_C):
     """(x, sigma, kappa, r, mu) under the prices generated by holding n_C."""
-    x = x_star(n_C, c.P.k, c.P.p)
+    x = x_star(n_C, c.P.k, c.p)
     m = 1.0 - n_C
     B = n_C * c.qC + m * c.qM
     sigma = c.A / (B * c.C)
@@ -347,7 +368,7 @@ def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
     """
     P, d = c.P, c.d
     n2 = _n2(c)
-    G = (1.0 - P.p) * c.net_l * c.y / (2.0 * P.H * c.e2h * d.delta_M * c.qM * c.A * c.A)
+    G = (1.0 - c.p) * c.net_l * c.y / (2.0 * P.H * c.e2h * d.delta_M * c.qM * c.A * c.A)
     a = np.where(c.A == 0.0, 0.0, n2 * G)[()]  # at p = 1 the fixed point is n2 for any A
     g0 = n2 + a * c.qM * c.qM
     g1 = n2 - 1.0 + a * (1.0 - 1.0 / c.n3) * c.qC * c.qC
@@ -375,12 +396,11 @@ def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
 
 def _flag_candidates(c: _Ctx, fail: _Failures, live, g0, g1, roots, cols, finite) -> None:
     """Record the candidate stage's failures of the live states, in check order."""
-    live, g0, g1, A = (np.ravel(v) for v in (live, g0, g1, c.A))  # one trailing state axis
+    live, g0, g1, A, p = (np.ravel(v) for v in (live, g0, g1, c.A, c.p))  # one trailing state axis
     roots, cols, finite = roots.reshape(3, -1), cols.reshape(6, -1), finite.reshape(4, 6, -1)
-    if c.P.p < 1.0:
-        fail.flag(live & (A == 0.0),
-                  "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
-                  "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")
+    fail.flag(live & (A == 0.0) & (p < 1.0),
+              "volatility numerator sigma_D - (h/eps) (varphi'/varphi) "
+              "(theta_C (1-y) + theta_M y) vanished; the fixed point is undefined")
     fail.flag(live & ~((g0 >= 0.0) & (g1 <= 0.0)),
               lambda i: f"bracket guarantee failed: g(0)={g0[i]:g}, g(1)={g1[i]:g} "
                         "(expected g(0) >= 0 >= g(1))")
@@ -416,9 +436,7 @@ def _select(c: _Ctx, cand, live):
     # an unavailable candidate's diag is NaN; top > -inf when a finite entry exists
     consistent = (diag >= top) & (top > -np.inf)
     j = consistent.argmax(axis=0)
-    code = np.where(consistent.any(axis=0), j + 1, _NONEXISTENT)
-    if c.P.p == 1.0:
-        code = np.where(code == 1, 2, code)
+    code = np.where(consistent.any(axis=0), j + 1 + ((j == 0) & (c.p == 1.0)), _NONEXISTENT)
     return np.where(live, code, _NONEXISTENT), j, T, avail
 
 
@@ -472,12 +490,11 @@ _REGION_NAMES = {_NONEXISTENT: "nonexistent", _BOUNDARY: "boundary"}
 @dataclass
 class _Batch:
     """The equilibria of one batch as arrays, one column per state: the rows
-    y, Lambda, lambda; the region codes (_NONEXISTENT also for a failed state);
+    y, Lambda, lambda, p; the region codes (_NONEXISTENT also for a failed state);
     the _FIELDS rows, the first 12 NaN where the code is _NONEXISTENT; each
     state's error or None; and, if the batch ran the region tests, their
     objective tables (region, candidate, state), candidates and availability."""
 
-    p: float
     states: np.ndarray
     code: np.ndarray
     fields: np.ndarray
@@ -509,7 +526,7 @@ def _finish(c: _Ctx, fail: _Failures, code, n_C, x, sigma, kappa, r, mu, tests=N
     code = np.where(fail.failed, _NONEXISTENT, code)
     if np.count_nonzero(code) < len(code):
         fields[:len(RESULT_FIELDS) - 1, code == _NONEXISTENT] = np.nan
-    return _Batch(c.P.p, np.array([c.y, c.Lam, c.lam]).reshape(3, -1), code, fields, fail.err, tests)
+    return _Batch(np.array([c.y, c.Lam, c.lam, c.p]).reshape(4, -1), code, fields, fail.err, tests)
 
 
 def _results(b: _Batch) -> list:
@@ -518,7 +535,7 @@ def _results(b: _Batch) -> list:
     if b.tests is not None:  # per state: its tables, candidates and availability
         tables, cands, avail = (a.transpose(-1, *range(a.ndim - 1)).tolist() for a in b.tests)
     results: list = []
-    for s, ((y, L, l), code) in enumerate(zip(b.states.T.tolist(), b.code.tolist())):
+    for s, ((y, L, l, p), code) in enumerate(zip(b.states.T.tolist(), b.code.tolist())):
         if b.err[s] is not None:
             results.append(b.err[s])
             continue
@@ -527,21 +544,25 @@ def _results(b: _Batch) -> list:
             kw["J_tables"] = {j + 1: tuple(row) for j, row in enumerate(tables[s]) if avail[s][j]}
             kw["candidates"] = tuple(cands[s])
         results.append(EquilibriumResult(
-            state=MarketState(y, L, l), p=b.p, region=_REGION_NAMES.get(code, code),
+            state=MarketState(y, L, l), p=p, region=_REGION_NAMES.get(code, code),
             exists=code != _NONEXISTENT, **kw,
         ))
     return results
 
 
 @np.errstate(all="ignore")
-def _solve(params: ModelParams, y, Lam, lam) -> _Batch:
-    """Equilibria of the states (y, Lam, lam), as one batch.
+def _solve(params: ModelParams, y, Lam, lam, p=None) -> _Batch:
+    """Equilibria of the states (y, Lam, lam) at their levels ``p``, as one batch;
+    a single state (0-d) may take ``params.p`` instead.
 
     Each candidate is priced once, in :func:`_candidates`.  The boundary
     states y in {0, 1} take their explicit limits in the same pass; only a
     batch with boundary states prices again.
     """
-    c, fail = _context(params, y, Lam, lam)
+    c, fail = _context(params, y, Lam, lam, p)
+    if c is None:  # no level has valid parameters: every state has failed
+        nan = np.full((len(_FIELDS), np.size(y)), np.nan)
+        return _Batch(np.array([y, Lam, lam, p]), np.zeros(np.size(y), int), nan, fail.err)
     interior = (y > 0.0) & (y < 1.0)
     live = interior & ~fail.failed.reshape(np.shape(y))
     cand = _candidates(c, fail, live)
@@ -586,7 +607,8 @@ def equilibrium_batch(y, Lambda, lam, params: ModelParams) -> list[EquilibriumRe
     Raises:
         ValueError: if the parameters are invalid (see :func:`validate`).
     """
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, Lambda, lam)))
+    _constants(params)  # invalid parameters raise, before any state is priced
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, Lambda, lam, params.p)))
     return _results(_solve(params, *(np.ravel(v) for v in arrays)))
 
 
@@ -761,45 +783,31 @@ class SweepRow:
 
 @dataclass
 class _Grid:
-    """A priced (y, p, Lambda) grid: per p, the batch of its (y, Lambda) states."""
+    """A priced (y, p, Lambda) grid: its axes and one batch of its states in row order."""
 
     y: list[float]
     p: list[float]
     Lam: list[float]
-    batches: list[_Batch]
-
-    def in_order(self, per_p):
-        """(y, p, Lambda, per_p[k][s]) of every row: y outermost, then p, then Lambda."""
-        for i, y in enumerate(self.y):
-            for p, items in zip(self.p, per_p):
-                for j, L in enumerate(self.Lam):
-                    yield y, p, L, items[i * len(self.Lam) + j]
+    batch: _Batch
 
 
 def _price_grid(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0.0) -> _Grid:
-    """One :func:`_solve` batch per p over the (y, Lambda) cross product; every
-    state of a p whose parameters are invalid fails with their ValueError."""
-    g = _Grid(*([float(v) for v in vals] for vals in (y_values, p_values, Lambda_values)), [])
-    y, Lam = np.repeat(g.y, len(g.Lam)), np.tile(g.Lam, len(g.y))
-    nan = np.full((len(_FIELDS), len(y)), np.nan)
-    for p in g.p:
-        try:
-            lams = np.full(len(y), np.asarray(lam, dtype=float))
-            g.batches.append(_solve(replace(params, p=p), y, Lam, lams))
-        except ValueError as exc:
-            g.batches.append(_Batch(p, np.array([y, Lam, nan[0]]), np.zeros(len(y), int), nan,
-                                    [exc] * len(y)))
-    return g
+    """The (y, p, Lambda) cross product as one :func:`_solve` batch, in row order
+    (y outermost, then p, then Lambda); every state of a p whose parameters are
+    invalid fails with their ValueError."""
+    axes = [[float(v) for v in vals] for vals in (y_values, p_values, Lambda_values)]
+    y, p, Lam = (v.ravel() for v in np.meshgrid(*axes, indexing="ij"))
+    return _Grid(*axes, _solve(params, y, Lam, np.full(y.size, float(lam)), p))
 
 
 def sweep(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0.0) -> list[SweepRow]:
     """Cross-product sweep over (y, p, Lambda) with per-row failure capture.
 
     Rows are emitted in deterministic order: y outermost, then p, then
-    Lambda.  The small memory level is held fixed (default 0).  Each p is one
-    :func:`_solve` batch of :func:`_price_grid`; a row that fails, or every row
-    of a p whose parameters are invalid, records its error and the sweep goes on.
+    Lambda.  The small memory level is held fixed (default 0).  The grid is
+    one :func:`_solve` batch of :func:`_price_grid`; a row that fails, or every
+    row of a p whose parameters are invalid, records its error and the sweep goes on.
     """
-    g = _price_grid(params, y_values, p_values, Lambda_values, lam)
+    b = _price_grid(params, y_values, p_values, Lambda_values, lam).batch
     return [SweepRow(y, p, L, None, error=str(res)) if isinstance(res, Exception) else
-            SweepRow(y, p, L, res) for y, p, L, res in g.in_order([_results(b) for b in g.batches])]
+            SweepRow(y, p, L, res) for (y, L, _, p), res in zip(b.states.T.tolist(), _results(b))]

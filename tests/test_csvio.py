@@ -198,7 +198,7 @@ def test_equilibrium_out_matches_oracle(tmp_path, capsys, params, y, region):
 
 
 def test_cli_sweep_builds_no_result_objects(sweep_cases, tmp_path, monkeypatch):
-    # the CLI prices, writes and pivots the sweep from the batches' arrays
+    # the CLI prices, writes and pivots the sweep from the batch's arrays
 
     def refuse(*args, **kwargs):
         raise AssertionError("the CLI sweep built a per-state object")
@@ -208,6 +208,26 @@ def test_cli_sweep_builds_no_result_objects(sweep_cases, tmp_path, monkeypatch):
     for n, (cfg, _, _) in enumerate(sweep_cases):
         code, err = run_sweep(cfg, tmp_path / "sweep.csv", "--figures", str(tmp_path / f"figs{n}"))
         assert code == 0, err
+
+
+def test_a_sweep_is_one_solve(tmp_path, monkeypatch):
+    # five p levels, one invalid and one repeated: sweep() and the CLI each
+    # price the whole grid in one _solve, and the CLI writes the oracle's bytes
+    grid = {"y_start": 0.0, "y_stop": 1.0, "y_step": 0.25, "p_list": "1,2,0.6,0.6,0",
+            "Lambda_list": "5,0,1e4"}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{f.name} = {getattr(BASE_PARAMS, f.name)!r}\n" for f in fields(BASE_PARAMS))
+                   + "".join(f"{k} = {v}\n" for k, v in grid.items()), encoding="utf-8")
+    rc = RunConfig(load_config(cfg))
+    calls, solve = [], equilibrium_module._solve
+    monkeypatch.setattr(equilibrium_module, "_solve", lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    rows = sweep(rc.params, rc.y_grid(), rc.p_list, rc.Lambda_list)
+    assert len(calls) == 1 and len(rows) == 5 * 5 * 3
+    assert any(r.error and r.error.startswith("invalid parameters") for r in rows)
+    code, _ = run_sweep(cfg, tmp_path / "cli.csv")
+    assert code == 0 and len(calls) == 2
+    csv_oracle.write_sweep_csv(tmp_path / "oracle.csv", rows)
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_convergence_csv_matches_oracle(tmp_path):

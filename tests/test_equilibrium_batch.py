@@ -301,6 +301,25 @@ def test_sweep_invalid_rows_property(ys, ps, Ls):
             assert not error.startswith(("invalid parameters", _Y_TEXT)), row
 
 
+_GAMMA_TEXT = "invalid parameters: gamma_C must exceed 1"
+
+
+@pytest.mark.parametrize("params, ps, errors", [
+    # gamma_C is invalid, so every level is, and p = 2 adds its own error
+    (replace(BASE_PARAMS, gamma_C=1.0), [0.6, 2.0],
+     [_GAMMA_TEXT, _GAMMA_TEXT + "; p must lie in [0, 1]"]),
+    # no level is valid
+    (BASE_PARAMS, [2.0, math.nan],
+     ["invalid parameters: p must lie in [0, 1]", "invalid parameters: p must be a finite real, got nan"]),
+])
+def test_sweep_records_each_invalid_level(params, ps, errors):
+    # each row records its level's full message, before any of its state's own
+    ys, Ls = [0.0, 0.5, 1.5], [0.0, 1e4]
+    rows = sweep(params, ys, ps, Ls)
+    assert [(row.y, row.Lambda, row.result, row.error) for row in rows] == [
+        (y, L, None, error) for y in ys for error in errors for L in Ls]
+
+
 @pytest.mark.parametrize("change", [dict(gamma_C=1.0), dict(l_C=0.4, l_M=0.6), dict(p="0.5")])
 def test_invalid_parameters_rejected(change):
     bad = replace(BASE_PARAMS, **change)
@@ -389,6 +408,23 @@ def test_first_error_of_each_stage_is_pinned():
         assert _outcome(got) == _outcome(want), state
 
 
+@pytest.mark.parametrize("params", [BASE_PARAMS, NOEQ, VANISHING], ids=["base", "noeq", "vanishing"])
+def test_sweep_rows_are_the_scalar_solves(params):
+    # one batch across p levels prices each row as its level alone would: the
+    # p = 1 relabel, the p < 1 vanishing-numerator check (VANISHING at y = 0.5,
+    # Lambda = 0), nonexistent states (NOEQ at Lambda = 53) and failures
+    ys, ps, Ls = [0.0, 0.3, 0.5, 0.99, 1.0], [1.0, 0.6, -0.0, 0.0, 0.9], [-10.0, 0.0, 53.0, 1e4]
+    rows = sweep(params, ys, ps, Ls, lam=0.2)
+    for row in rows:
+        try:
+            want = repr(equilibrium(MarketState(row.y, row.Lambda, 0.2), replace(params, p=row.p)))
+        except (ValueError, EquilibriumError) as exc:
+            want = str(exc)
+        assert (row.error or repr(row.result)) == want, (row.y, row.p, row.Lambda)
+    vanished = {(r.p, r.Lambda) for r in rows if (r.error or "").startswith("volatility numerator")}
+    assert vanished == ({(p, L) for p in ps if p < 1.0 for L in Ls[:3]} if params is VANISHING else set())
+
+
 _U = st.floats(0.0, 1.0)
 
 
@@ -433,6 +469,12 @@ def test_constants_are_derived_once_per_parameter_set(monkeypatch):
         assert len(calls) == 1 and eqmod._param_constants.cache_info().currsize == 1
         equilibrium(MarketState(0.5), NOEQ)
         assert len(calls) == 2
+        # a sweep validates each distinct level once: equal levels, signed
+        # zeros and every NaN level (which fails validate) share one group
+        eqmod._param_constants.cache_clear()
+        calls.clear()
+        sweep(BASE_PARAMS, [0.2, 0.5], [0.6, 0.6, -0.0, math.nan, 0.0, math.nan], [0.0, 1.0])
+        assert sorted(P.p for P in calls if P.p == P.p) == [0.0, 0.6] and len(calls) == 3
     finally:
         eqmod._param_constants.cache_clear()
 

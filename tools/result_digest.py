@@ -5,9 +5,10 @@ EquilibriumResult or of the exception it failed with.  The grid crosses
 protection levels, diversion costs, memory slopes, both boundaries and
 extreme memory levels (NaN and +-1e4 included); then come its interior
 states with finite memory levels solved one at a time by ``equilibrium``
-(+-1e4 fail), boundary calls and one digest of a whole ``sweep``.  Run it on
-two versions of the package and diff the outputs to list exactly the states
-whose results changed:
+(+-1e4 fail), boundary calls and two digests of a whole ``sweep``: one on
+the benchmark grid, and one whose protection levels include an invalid one,
+NaN, -0.0 and a repeat.  Run it on two versions of the package and diff the
+outputs to list exactly the states whose results changed:
 
     PYTHONPATH=src python tools/result_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/result_digest.py > old.txt
@@ -67,6 +68,8 @@ def main() -> None:
     rows = sweep(BASE_PARAMS, np.round(np.arange(101) / 100.0, 2), (1.0, 0.9, 0.6, 0.3, 0.0),
                  (-5.0, 0.0, 5.0))
     print(f"sweep rows={len(rows)} {digest(rows)}")
+    rows = sweep(BASE_PARAMS, Y_VALUES, (0.6, 2.0, math.nan, -0.0, 0.6), LAMBDA_VALUES)
+    print(f"sweep edge rows={len(rows)} {digest(rows)}")
 
 
 if __name__ == "__main__":
