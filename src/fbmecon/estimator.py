@@ -42,10 +42,10 @@ from .params import ModelParams, validate
 from .paths import (
     PathBundle,
     TimeGrid,
-    _LagWeights,
     _bundle,
     _causal_convolve,
     _kernel,
+    _lag_weights,
     _step_coefficients,
     memory_exact,
     simulate_brownian,
@@ -62,6 +62,11 @@ __all__ = [
 
 #: Terminal memory within this distance of zero is classified as 'none'.
 _DEAD_BAND = 1e-12
+
+#: Largest accepted 1-norm condition number kappa_1 of the recovery's Toeplitz
+#: system.  A recovery's relative error was about 4 kappa_1 2^-53 at worst in
+#: scans over H, epsilon and N, so this bound keeps it under criterion 5's 1e-10.
+_MAX_CONDITION = 1e-10 / (4 * 2.0**-53)
 
 
 @dataclass
@@ -106,7 +111,10 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
         ValueError: on length mismatch, non-finite samples, or invalid
             parameters (see :func:`~fbmecon.params.validate`; the inversion
             divides by sqrt(2H) eps^h sigma_D).
-        FloatingPointError: if the solve overflows (coarse grids, small epsilon, H near 1).
+        FloatingPointError: if the solve overflows, or if the Toeplitz system
+            is so ill-conditioned (kappa_1 above about 2.25e5) that rounding
+            could move the result by more than 1e-10 of its size; both
+            happen on coarse grids with a small epsilon and H near 1.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (grid.N + 1,):
@@ -125,12 +133,18 @@ def estimate_memory(Z: np.ndarray, grid: TimeGrid, params: ModelParams) -> Memor
         # the recursion is the lower-triangular Toeplitz system a * dw_hat = b
         a = np.empty(grid.N)
         a[0] = vol
-        a[1:] = sdt * _LagWeights(grid.N - 1, dt, params.epsilon, *lam_kernel)[:]
+        a[1:] = sdt * _lag_weights(grid.N - 1, dt, params.epsilon, *lam_kernel)
         with np.errstate(over="ignore", invalid="ignore"):
-            dw_hat = _causal_convolve(_series_inverse(a), b)
+            g = _series_inverse(a)
+            dw_hat = _causal_convolve(g, b)
+            # kappa_1 = |T|_1 |T^-1|_1 exactly, T^-1 being the Toeplitz matrix of g
+            kappa = np.sum(np.abs(a)) * np.sum(np.abs(g))
+        where = (f"at H = {params.H:g}, epsilon = {params.epsilon:g}, N = {grid.N}: "
+                 "use a finer grid or a larger epsilon")
         if not np.all(np.isfinite(dw_hat)):
-            raise FloatingPointError(f"recovered increments are not finite at H = {params.H:g}, epsilon = "
-                                     f"{params.epsilon:g}, N = {grid.N}: use a finer grid or a larger epsilon")
+            raise FloatingPointError(f"recovered increments are not finite {where}")
+        if not kappa <= _MAX_CONDITION:
+            raise FloatingPointError(f"recovery is ill-conditioned (kappa_1 = {kappa:.3g}) {where}")
     lam_big, lam_small = memory_exact(grid, dw_hat, params)
     return MemoryEstimate(grid=grid, dw_hat=dw_hat, Lambda_hat=lam_big, lambda_hat=lam_small)
 

@@ -98,45 +98,43 @@ def _kernel(params: ModelParams, order: int) -> tuple[float, float]:
 _BLOCK = 1 << 14
 
 
-def _causal_convolve(a: np.ndarray, b, stride: int = 1) -> np.ndarray:
+def _causal_convolve(a: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
     """Every stride-th term c[stride - 1 :: stride] of a causal convolution.
 
-    c[i] = sum_{j <= i} a[j] b[i - j] for i < len(a), by blocked FFTs; b
-    covers the same indices and need only support slicing (an array, or
-    :class:`_LagWeights`).  Both inputs are cut into blocks (of _BLOCK
-    samples, or one block when shorter) and transformed with zero padding
-    to twice the block length.  Output block r is the inverse transform of
-    sum_{p + q = r} A_p B_q, whose second half spills into block r + 1.
-    The spectrum of each block of a and of b is computed once and kept: P
-    blocks cost 2P forward and P inverse transforms, and the memory beyond
-    the result is two spectrum sets of P (n_fft / 2 + 1) complex values.
-    Spectra are multiplied in one stated order (``term``), and each finished
-    block gives up its stride-th terms at once, so every term is computed the
-    same way whatever the stride.  The rounding error of a term is a small
-    multiple of the unit roundoff times the norms of the blocks that meet there.
+    c[i] = sum_{j <= i} a[j] b[i - j] for i < len(a), by blocked FFTs.  Both
+    inputs are cut into blocks (of _BLOCK samples, or one block when shorter)
+    and transformed with zero padding to twice the block length.  Output
+    block r is the inverse transform of sum_{p + q = r} A_p B_q, whose second
+    half spills into block r + 1.  The spectrum of each block is computed
+    once and kept: P blocks cost 2P forward and P inverse transforms, and the
+    memory beyond the result is two spectrum sets of P (n_fft / 2 + 1)
+    complex values.  b's spectra are taken first, so that b can be freed
+    before a's exist.  Every product is A_p * B_q, in that order, as numpy's
+    complex multiply is not bitwise commutative.  Each finished block gives
+    up its stride-th terms at once, so every term is computed the same way
+    whatever the stride.  The rounding error of a term is a small multiple of
+    the unit roundoff times the norms of the blocks that meet there.
     """
     m = len(a)
     blk = min(_BLOCK, m)
     n_fft = 1 << (2 * blk - 1).bit_length()
+    n_blocks = -(-m // blk)
 
     def spectrum(x, p):
         return np.fft.rfft(x[p * blk : (p + 1) * blk], n_fft)
 
-    # numpy's complex multiply is not bitwise commutative.  The order is that
-    # of b's spectrum times a fresh spectrum of a, which numpy evaluates in
-    # place in the temporary, as a's times b's, once it holds 256 KiB.
-    def term(p, q):
-        return fa[p] * fb[q] if n_fft > _BLOCK else fb[q] * fa[p]
-
-    fa, fb = [], []
+    fb = [spectrum(b, q) for q in range(n_blocks)]
+    # the caller may pass b as a temporary (the kernel weights): drop it, so
+    # that it is not alive beside both spectrum sets
+    del b
+    fa = []
     out = np.empty(m // stride)
     spill = 0.0
-    for r in range(-(-m // blk)):
+    for r in range(n_blocks):
         fa.append(spectrum(a, r))
-        fb.append(spectrum(b, r))
-        acc = term(r, 0)
+        acc = fa[r] * fb[0]
         for p in range(r):
-            acc += term(p, r - p)
+            acc += fa[p] * fb[r - p]
         c = np.fft.irfft(acc, n_fft)
         lo = r * blk
         first = (stride - 1 - lo) % stride
@@ -147,24 +145,9 @@ def _causal_convolve(a: np.ndarray, b, stride: int = 1) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _LagWeights:
-    """Kernel weights prefactor * (l dt + epsilon)**exponent at lags l = 1..m.
-
-    Sliced like an array, it evaluates only the slice asked for, so a
-    convolution walks the weights a block at a time without holding all m.
-    """
-
-    m: int
-    dt: float
-    epsilon: float
-    prefactor: float
-    exponent: float
-
-    def __getitem__(self, s: slice) -> np.ndarray:
-        lo, hi, step = s.indices(self.m)
-        lags = np.arange(lo + 1, hi + 1, step)
-        return self.prefactor * (self.dt * lags + self.epsilon) ** self.exponent
+def _lag_weights(m: int, dt: float, epsilon: float, prefactor: float, exponent: float) -> np.ndarray:
+    """Kernel weights prefactor * (l dt + epsilon)**exponent at lags l = 1..m."""
+    return prefactor * (dt * np.arange(1, m + 1) + epsilon) ** exponent
 
 
 def kernel_sums(
@@ -196,8 +179,9 @@ def kernel_sums(
     out = np.zeros(m // stride + 1)
     if m == 0 or prefactor == 0.0:
         return out
-    weights = _LagWeights(m, dt, epsilon, prefactor, exponent)
-    out[1:] = _causal_convolve(np.asarray(dw, dtype=float), weights, stride)
+    dw = np.asarray(dw, dtype=float)
+    # the weights stay unnamed, so that the engine can free them (see _causal_convolve)
+    out[1:] = _causal_convolve(dw, _lag_weights(m, dt, epsilon, prefactor, exponent), stride)
     return out
 
 

@@ -5,17 +5,14 @@ with the reversed lag weights; it also returns, node by node, the sum of
 the absolute values of its terms, the scale that bounds the rounding error
 of any summation order.  ``recover_sequential`` is the old step-by-step
 inversion of the output recursion, feeding each recovered increment's
-Lambda_hat into the next step.  ``causal_convolve_recompute`` is the former
-blocked FFT convolution, which kept the spectra of b's blocks but
-recomputed those of a's for every output block that uses them; the
-present engine keeps both and must give its bytes.
+Lambda_hat into the next step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fbmecon.paths import _BLOCK, _kernel, _step_coefficients
+from fbmecon.paths import _kernel, _step_coefficients
 
 
 def _reversed_weights(m, dt, epsilon, prefactor, exponent):
@@ -59,29 +56,3 @@ def recover_sequential(Z, dt, params):
         lam_big[n + 1] = np.dot(dw_hat[: n + 1], rev[n_steps - 1 - n:])
     return dw_hat, lam_big
 
-
-def causal_convolve_recompute(a, b, stride=1):
-    """Every stride-th term of the causal convolution of a and b, by the former loop."""
-    m = len(a)
-    blk = min(_BLOCK, m)
-    n_fft = 1 << (2 * blk - 1).bit_length()
-
-    def spectrum(x, p):
-        return np.fft.rfft(x[p * blk : (p + 1) * blk], n_fft)
-
-    fb = []
-    out = np.empty(m // stride)
-    spill = 0.0
-    for r in range(-(-m // blk)):
-        fb.append(spectrum(b, r))
-        acc = fb[0] * spectrum(a, r)
-        for p in range(r):
-            acc += fb[r - p] * spectrum(a, p)
-        c = np.fft.irfft(acc, n_fft)
-        lo = r * blk
-        first = (stride - 1 - lo) % stride
-        keep = (c[:blk] + spill)[first : m - lo : stride]
-        k0 = (lo + first + 1) // stride - 1
-        out[k0 : k0 + len(keep)] = keep
-        spill = c[blk : 2 * blk]
-    return out

@@ -205,6 +205,24 @@ def test_estimate_overflowing_recovery_is_runtime_failure(tmp_path, N):
         "use a finer grid or a larger epsilon")
 
 
+def test_estimate_ill_conditioned_recovery_is_runtime_failure(tmp_path):
+    # H = 0.9, epsilon = 1e-5 on 256 steps: the solve stays finite but is
+    # ill-conditioned, so the recovery exits 2 as an overflowing one does
+    cfg = write_cfg(tmp_path / "steep.cfg", {"H": 0.9, "epsilon": 1e-5}, {"N": 256, "refine": 4})
+    data, out = tmp_path / "paths.csv", tmp_path / "memory.csv"
+    assert main(["--config", str(cfg), "--seed", "0", "--out", str(data), "simulate"]) == 0
+    proc = run_module("fbmecon", "--config", str(cfg), "--out", str(out), "estimate", str(data),
+                      "--summary")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not out.exists()
+    assert "Warning" not in proc.stderr, proc.stderr
+    lines = proc.stderr.splitlines()
+    line = lines[-1]
+    assert [x for x in lines if x.startswith("error:")] == [line]
+    assert line.startswith("error: recovery is ill-conditioned (kappa_1 = ") and line.endswith(
+        ") at H = 0.9, epsilon = 1e-05, N = 256: use a finer grid or a larger epsilon"), line
+
+
 def test_estimate_infinite_last_time_prints_one_line(cfg, tmp_path):
     # inf - inf in the spacing test must not leak a numpy warning to stderr
     data = tmp_path / "times.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -221,6 +222,34 @@ def test_overflowing_recovery_raises(N):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(FloatingPointError, match=f"H = 0.98, epsilon = 1e-05, N = {N}: use a finer grid"):
             estimate_memory(Z, grid, params)
+
+
+@pytest.mark.parametrize("H, eps, kappa", [(0.9, 1e-4, 6.4e12), (0.8, 1e-5, 1.25e25), (0.9, 1e-5, 1.67e147)])
+def test_ill_conditioned_recovery_raises(H, eps, kappa):
+    # on 256 steps the solve stays finite but rounding grows like kappa_1:
+    # these recoveries were off by 1.7e-3 to 7e131 of max|dw|, and are refused
+    params = replace(BASE_PARAMS, H=H, epsilon=eps)
+    grid = TimeGrid(1.0, 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the small-epsilon advisory
+        Z = simulate_bundle(grid, params, seed=3, refine=4).Z
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatingPointError, match=rf"ill-conditioned \(kappa_1 = \S+\) at H = {H:g}, "
+                                                     rf"epsilon = {eps:g}, N = 256: use a finer grid") as info:
+            estimate_memory(Z, grid, params)
+    assert float(re.search(r"kappa_1 = (\S+)\)", str(info.value))[1]) == pytest.approx(kappa, rel=1e-2)
+
+
+def test_well_conditioned_steep_recovery_passes():
+    # H = 0.98, epsilon = 1e-5 recovers on 8192 steps (kappa_1 about 3.2e3)
+    params = replace(BASE_PARAMS, H=0.98, epsilon=1e-5)
+    grid = TimeGrid(1.0, 8192)
+    dw = simulate_brownian(grid, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the small-epsilon advisory
+        warnings.simplefilter("error", RuntimeWarning)
+        est = estimate_memory(euler_reference(dw, grid, params).Z, grid, params)
+    assert np.max(np.abs(est.dw_hat - dw)) <= 1e-10 * np.max(np.abs(dw))
 
 
 # ---------------------------------------------------------------------------

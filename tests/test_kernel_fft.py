@@ -12,9 +12,10 @@ node whose own terms are all small (a tiny first increment, say) can carry
 more than its share; random draws therefore add a floor of 1e-14 times the
 largest node scale of the path, about 25 times the worst seen in 3000 draws.
 
-The engine itself is pinned to the former blocked loop, which recomputed
-the spectra of the increments for every output block: both give the same
-bytes, and the present one makes one forward transform per block and input.
+The engine is checked at the base calibration against the direct sums over
+lengths from one sample to the recovery benchmark's 160000, across the
+block and transform-length edges, and it must make one forward transform
+per block and input.
 """
 
 from dataclasses import replace
@@ -24,8 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbmecon import BASE_PARAMS, TimeGrid, estimate_memory, euler_reference, kernel_sums, simulate_brownian
-from fbmecon.paths import _BLOCK, _LagWeights, _kernel
-from kernel_oracle import causal_convolve_recompute, kernel_sums_direct, recover_sequential
+from fbmecon.paths import _BLOCK, _kernel
+from kernel_oracle import kernel_sums_direct, recover_sequential
 
 B = _BLOCK
 KERNEL_RTOL = 1e-12
@@ -120,17 +121,14 @@ def test_recovery_property(H, eps, n_steps, seed):
 
 
 # one block (8192 and 8193 straddle the transform length 2^14 / 2^15), 16000
-# samples in one block of 2^15 points, and several blocks with ragged tails
+# samples in one block of 2^15 points, several blocks with ragged tails, and
+# the 40000-step, refine-4 recovery benchmark's 160000 samples
 @pytest.mark.parametrize("m, stride", [(m, s) for m in (1, 5000, 8192, 8193, 16000, B, B + 1, 3 * B + 5, 160000)
                                        for s in (1, 4) if m % s == 0])
-def test_kernel_sums_equal_the_former_engine(m, stride):
+def test_kernel_sums_match_direct_sums_at_base_params(m, stride):
     dw = simulate_brownian(TimeGrid(1.0, m), 21)
     for order in (1, 2):
-        kern = _kernel(BASE_PARAMS, order)
-        got = kernel_sums(dw, 1.0 / m, BASE_PARAMS.epsilon, *kern, stride=stride)
-        former = causal_convolve_recompute(dw, _LagWeights(m, 1.0 / m, BASE_PARAMS.epsilon, *kern), stride)
-        assert got[0] == 0.0
-        assert np.array_equal(got[1:], former)
+        _assert_matches_direct(dw, 1.0 / m, BASE_PARAMS, order, stride=stride)
 
 
 def test_each_block_spectrum_is_computed_once(monkeypatch):

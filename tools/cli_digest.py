@@ -7,13 +7,15 @@ reach the text writer's edges (a memoryless path with D0 = 1e-20, whose
 memory cells are all 0 and whose D_hat is in exponent form, and D0 = 9.5e16,
 whose D_hat crosses 1e17), once with N = 40000 and refine = 4, whose
 convolutions span several FFT blocks (10 for the simulation, 3 for the
-recovery), a convergence study, ``sweep --figures`` on the
-benchmark grid, on a grid of edge values and on a grid whose labels reach the
-text writer's edges, single states at both boundaries and inside, a
-calibration with no equilibrium, and three runs that fail validation.  Each
-call gives the line ``label exit=<code> stdout=<sha256> stderr=<sha256>``
-and each file it wrote the line ``label/file <sha256>``; the temporary path
-is masked in the captured text.  The lines are printed sorted.  Run it on two
+recovery), and once with H = 0.9, epsilon = 1e-5, N = 256 and refine = 4,
+whose recovery is ill-conditioned and refused (``estimate_illconditioned``);
+a convergence study, ``sweep --figures`` on the benchmark grid, on a grid of
+edge values and on a grid whose labels reach the text writer's edges, single
+states at both boundaries and inside, a calibration with no equilibrium, and
+three runs that fail validation.  Each call gives the line
+``label exit=<code> stdout=<sha256> stderr=<sha256>`` and each file it wrote
+the line ``label/file <sha256>``; the temporary path is masked in the
+captured text.  The lines are printed sorted.  Run it on two
 versions of the package and diff the outputs to see which outputs a change
 alters:
 
@@ -66,6 +68,8 @@ def calls(tmp: Path) -> list[tuple[str, list[str]]]:
                         refine=8, D0=1e-20)
     huge = write_config(tmp / "huge.cfg", N=2000, refine=8, D0=9.5e16)
     blocks = write_config(tmp / "blocks.cfg", N=40000, refine=4)
+    steep = write_config(tmp / "steep.cfg", dataclasses.replace(BASE_PARAMS, H=0.9, epsilon=1e-5),
+                         N=256, refine=4)
     bench = write_config(tmp / "bench.cfg", **BENCH_GRID)
     edge = write_config(tmp / "edge.cfg", **EDGE_GRID)
     labels = write_config(tmp / "labels.cfg", **LABEL_GRID)
@@ -73,7 +77,8 @@ def calls(tmp: Path) -> list[tuple[str, list[str]]]:
     bad_rho = write_config(tmp / "bad_rho.cfg", dataclasses.replace(BASE_PARAMS, rho=-1.0))
     bad_list = write_config(tmp / "bad_list.cfg", p_list="1,x")
     out = []
-    for label, cfg in (("", base), ("_tiny", tiny), ("_huge", huge), ("_blocks", blocks)):
+    for label, cfg in (("", base), ("_tiny", tiny), ("_huge", huge), ("_blocks", blocks),
+                       ("_illconditioned", steep)):
         paths_csv = str(tmp / f"simulate{label}" / "paths.csv")
         out += [
             (f"simulate{label}", ["--config", cfg, "--seed", "3", "--out", paths_csv, "simulate"]),
