@@ -9,19 +9,20 @@ representation is a cell table: :func:`_cells` writes each value's bytes into
 a row of ``_CELL`` slots and leaves every unused byte NUL, so an all-NUL cell
 is empty (the increment at t_0, the fields of a state without an
 equilibrium).  :func:`_text` puts "," or "\\n" in each cell's last slot and
-drops the padding with one ``bytes.translate``.  Cells with 1e-6 <= |x| <
-1e17, and 0, come from exact integer arithmetic; the rest (nan, +-inf,
-subnormals, other magnitudes) from ``%`` itself.  The sweep CSV is assembled
-from label, region and field cells by numpy broadcasting, and each figure is
-one gather of the sweep's own field cells.  The t,Z reader parses with numpy
-and accepts exactly what its per-row parser does.
+drops the padding with one ``bytes.translate``, whose bytes are written as
+they are.  Cells with 1e-6 <= |x| < 1e17, and 0, come from exact integer
+arithmetic; the rest (nan, +-inf, subnormals, other magnitudes) from ``%``
+itself.  The sweep CSV is assembled from label, region and field cells by
+numpy broadcasting; each figure layout is one gather of the sweep's cells.
+The t,Z reader parses with numpy and accepts exactly what its per-row parser does.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import math
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -49,9 +50,9 @@ _BLOCK = 1024  # rows formatted at a time
 
 
 def _write_table(path, header: list[str], blocks) -> None:
-    """Write the header line, then each block of row text; no cell needs quoting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    """Write the header line, then each block of row bytes; no cell needs quoting."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         fh.writelines(blocks)
 
 
@@ -178,16 +179,16 @@ def _cells(values: np.ndarray) -> np.ndarray:
     return cells.reshape(*np.shape(values), _CELL)
 
 
-def _text(table: np.ndarray) -> str:
+def _text(table: np.ndarray) -> bytes:
     """The (n, k, _CELL) cell table as n CSV rows of k cells: the last slot of
     each cell becomes "," and, in a row's last cell, "\\n"; the NUL padding
     is dropped, so an all-NUL cell is empty.  Writes into ``table``."""
     table[:, :, -1] = ord(",")
     table[:, -1, -1] = ord("\n")
-    return table.tobytes().translate(None, b"\0").decode("ascii")
+    return table.tobytes().translate(None, b"\0")
 
 
-def _rows_text(values: np.ndarray) -> str:
+def _rows_text(values: np.ndarray) -> bytes:
     """The (n, k) float array as n CSV rows, each cell x byte for byte ``"%.17g" % x``."""
     return _text(_cells(values))
 
@@ -218,70 +219,94 @@ def write_memory_csv(path, est: MemoryEstimate) -> None:
 _CODE_CELLS = np.array([b"0", b"1", b"2", b"3", b"4", b"boundary"], f"S{_CELL}").view((np.uint8, _CELL))
 
 
-def write_sweep_csv(path, grid) -> np.ndarray:
+def write_sweep_csv(path, grid) -> tuple[np.ndarray, np.ndarray]:
     """The sweep CSV of a priced grid, rows in (y, p, Lambda) order.
 
-    Returns the RESULT_FIELDS cells of its states, shaped (y, p, Lambda,
-    field, _CELL) and empty where a state has no equilibrium, for
-    :func:`write_figures`.
+    Returns, for :func:`write_figures`, the cells of ``grid.y`` and the
+    RESULT_FIELDS cells of its states, shaped (y, p, Lambda, field, _CELL)
+    and empty where a state has no equilibrium.
     """
     b, shape, k = grid.batch, (len(grid.y), len(grid.p), len(grid.Lam)), len(RESULT_FIELDS)
-    step = _BLOCK // 4  # rows per block; a block's cells and text are held several times over
+    step = 8 * _BLOCK // k  # rows per block, about as many cells as a node table's block
     fields = np.concatenate([_cells(b.fields[:k, lo:lo + step].T) for lo in range(0, b.code.size, step)])
     fields[b.code == 0] = 0
-    iy, ip, iL = np.indices(shape).reshape(3, -1)
-    labels = np.stack((_cells(grid.y)[iy], _cells(grid.p)[ip], _cells(grid.Lam)[iL]), axis=1)
+    labels = _cells(np.concatenate((grid.y, grid.p, grid.Lam)))  # one call: each has a fixed cost
+    labels_at = labels[np.indices(shape).reshape(3, -1).T + np.cumsum((0,) + shape[:2])]
 
     def blocks():
         for lo in range(0, b.code.size, step):
             rows, code = slice(lo, lo + step), b.code[lo:lo + step, None]
-            yield _text(np.concatenate((labels[rows], _CODE_CELLS[code], fields[rows],
+            yield _text(np.concatenate((labels_at[rows], _CODE_CELLS[code], fields[rows],
                                         _CODE_CELLS[np.minimum(code, 1)]), axis=1))
 
     _write_table(path, SWEEP_HEADER, blocks())
-    return fields.reshape(*shape, k, _CELL)
+    return labels[:shape[0]], fields.reshape(*shape, k, _CELL)
 
 
 # the plotted quantities in gallery order, with their file-name slugs: figure
 # 3 + 2m draws quantity m in Lambda panels, one line per p, and 4 + 2m the reverse
 _FIGURE_SLUGS = {"n_C": "holdings", "x_star": "diversion", "sigma_H": "modified_volatility",
                  "mu_H": "modified_return", "mu_G": "gross_return", "r": "interest_rate"}
+_FIGURE_FIELDS = np.array([RESULT_FIELDS.index(field) for field in _FIGURE_SLUGS])
+
+
+class _Encoded(str):
+    """JSON text that :func:`_json` writes as it is."""
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of lists, dicts, str, int and float, at
+    ``indent``, from the leaf encoders of json's C encoder (an indent makes json use its own)."""
+    if isinstance(obj, (list, dict)):
+        inner, (start, end) = indent + "  ", "{}" if isinstance(obj, dict) else "[]"
+        items = ([f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+                 if isinstance(obj, dict) else [_json(v, inner) for v in obj])
+        return start + inner + ("," + inner).join(items) + indent + end if items else start + end
+    if isinstance(obj, str):
+        return obj if isinstance(obj, _Encoded) else encode_basestring_ascii(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    return float.__repr__(obj) if isinstance(obj, float) else int.__repr__(obj)
 
 
 def write_figures(fig_dir, grid, cells) -> None:
     """One wide CSV per figure id in the Path ``fig_dir``: y, then one column per line.
 
-    ``cells`` are the field cells :func:`write_sweep_csv` returned for
+    ``cells`` are the y and field cells :func:`write_sweep_csv` returned for
     ``grid``; a figure cell is the sweep CSV's cell of the first row at its
     grid point, byte for byte.  Panel order follows the gallery layout:
     Lambda panels (0, -5, 5) and protection panels (1, 0.9, 0.6).
     """
+    y_cells, fields = cells
     fig_dir.mkdir(parents=True, exist_ok=True)
     first = {}  # y -> the index of its first row
     for i, y in enumerate(grid.y):
         first.setdefault(y, i)
     rows = np.array([first[y] for y in sorted(first)], np.intp)
-    labels = _cells(grid.y)[rows]
     vals = {}
     for var, listed, order in (("Lambda", grid.Lam, [0.0, -5.0, 5.0]), ("p", grid.p, [1.0, 0.9, 0.6])):
         vals[var] = [v for v in order if v in listed]
         vals[var] += [v for v in listed if v not in vals[var]]
     manifest = []
-    for m, (field, slug) in enumerate(_FIGURE_SLUGS.items()):
-        f = RESULT_FIELDS.index(field)
-        for fig, panel, series in ((3 + 2 * m, "Lambda", "p"), (4 + 2 * m, "p", "Lambda")):
-            cols = [(f"{panel}={pv:g};{series}={sv:g}", {panel: pv, series: sv})
-                    for pv in vals[panel] for sv in vals[series]]
-            at_p, at_L = ([listed.index(v[var]) for _, v in cols]
-                          for var, listed in (("p", grid.p), ("Lambda", grid.Lam)))
-            table = np.concatenate((labels[:, None], cells[rows[:, None], at_p, at_L, f]), axis=1)
-            name = f"fig{fig:02d}_{slug}_by_{'memory' if series == 'Lambda' else 'protection'}.csv"
-            _write_table(fig_dir / name, ["y"] + [c for c, _ in cols], [_text(table)])
-            manifest.append({"figure": fig, "file": name, "quantity": field, "x_axis": "y",
-                             "panel_variable": panel, "series_variable": series,
-                             "columns": {c: {"panel": v[panel], "series": v[series]} for c, v in cols}})
+    for fig, panel, series, by in ((3, "Lambda", "p", "protection"), (4, "p", "Lambda", "memory")):
+        cols = [(f"{panel}={pv:g};{series}={sv:g}", {panel: pv, series: sv})
+                for pv in vals[panel] for sv in vals[series]]
+        at_p, at_L = ([listed.index(v[var]) for _, v in cols]
+                      for var, listed in (("p", grid.p), ("Lambda", grid.Lam)))
+        # (quantity, y, column, _CELL): the y cells, then the lines' field cells
+        lines = fields[rows[:, None], at_p, at_L, _FIGURE_FIELDS[:, None, None]]
+        tables = np.concatenate((np.broadcast_to(y_cells[rows, None], lines[:, :, :1].shape), lines), axis=2)
+        header = ["y"] + [c for c, _ in cols]
+        # the layout's six manifest entries share its columns, encoded once at their depth
+        columns = _Encoded(_json({c: {"panel": v[panel], "series": v[series]} for c, v in cols}, "\n    "))
+        for m, (field, slug) in enumerate(_FIGURE_SLUGS.items()):
+            name = f"fig{fig + 2 * m:02d}_{slug}_by_{by}.csv"
+            _write_table(fig_dir / name, header, [_text(tables[m])])
+            manifest.append({"figure": fig + 2 * m, "file": name, "quantity": field, "x_axis": "y",
+                             "panel_variable": panel, "series_variable": series, "columns": columns})
+    manifest.sort(key=lambda entry: entry["figure"])
     with open(fig_dir / "figures_manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        fh.write(_json(manifest) + "\n")
 
 
 def write_convergence_csv(path, report) -> None:

@@ -358,6 +358,11 @@ def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
     return np.sort(np.where(keep, n1, np.nan).clip(0.0, 1.0), axis=0)
 
 
+def _pick(x: np.ndarray, j) -> np.ndarray:
+    """Per state, column j of x (quantity, column, *states), for 0-d and 1-d batches."""
+    return x[(slice(None), j) + np.indices(np.shape(j), sparse=True)]
+
+
 def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
     """The four candidate holdings and their prices, as one table of shape
     (6, 4) plus the batch shape: [holding, x, sigma, kappa, r, mu] per candidate.
@@ -388,7 +393,7 @@ def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
         n, x, sigma, kappa, r, mu = table[:, :3]
         J_roots = _J(c, n, x, r, mu, sigma)
         best = np.where(np.isfinite(J_roots), J_roots, -np.inf).argmax(axis=0)
-        cand[:, 0] = np.take_along_axis(table, best[None, None], 1)[:, 0]
+        cand[:, 0] = _pick(table, best)
     else:
         cand[:, 0] = table[:, 0]
     return cand
@@ -567,7 +572,7 @@ def _solve(params: ModelParams, y, Lam, lam, p=None) -> _Batch:
     live = interior & ~fail.failed.reshape(np.shape(y))
     cand = _candidates(c, fail, live)
     code, j, tables, avail = _select(c, cand, live)
-    n_C, x, sigma, kappa, r, mu = np.take_along_axis(cand, j[None, None], 1)[:, 0]
+    n_C, x, sigma, kappa, r, mu = _pick(cand, j)
     boundary = ~interior
     if np.count_nonzero(boundary):
         # explicit limits: the sole owner holds the firm undiverted, and the

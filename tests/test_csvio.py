@@ -162,6 +162,9 @@ def test_figures_match_oracle(sweep_cases, tmp_path):
     # repeats told apart by their text alone (signed zeros), an invalid p and
     # failed states, whose field cells are empty
     ([0.0, 0.5, -0.0, 0.25], [0.0, 2.0, 0.6, -0.0], [5.0, -0.0, 1e4, 0.0]),
+    # manifest leaves json writes as NaN, Infinity and -Infinity, and a label
+    # "%.17g" prints itself (1e-7)
+    ([0.5, 0.25, 1.0], [np.nan, 0.6, -0.0], [np.inf, 1e-7, -np.inf, 5.0]),
 ])
 def test_sweep_and_figures_of_a_grid_match_oracle(tmp_path, y, p, Lam):
     grid = _price_grid(BASE_PARAMS, y, p, Lam)
@@ -210,6 +213,30 @@ def test_cli_sweep_builds_no_result_objects(sweep_cases, tmp_path, monkeypatch):
         assert code == 0, err
 
 
+def test_sweep_formats_each_cell_once(tmp_path, monkeypatch):
+    # on the benchmark grid (101 y x 5 p x 3 Lambda): one _cells call per
+    # field block of about 8,000 cells, one for the y, p and Lambda labels
+    # together, and none from write_figures, which reuses the sweep's cells
+    grid = {"y_start": 0.0, "y_stop": 1.0, "y_step": 0.01, "p_list": "1,0.9,0.6,0.3,0",
+            "Lambda_list": "-5,0,5"}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{f.name} = {getattr(BASE_PARAMS, f.name)!r}\n" for f in fields(BASE_PARAMS))
+                   + "".join(f"{k} = {v}\n" for k, v in grid.items()), encoding="utf-8")
+    calls, marks, cells, figures = [], [], csvio._cells, csvio.write_figures
+    monkeypatch.setattr(csvio, "_cells", lambda values: calls.append(np.shape(values)) or cells(values))
+
+    def write_figures(*args):  # the call count as write_figures starts and ends
+        marks.append(len(calls))
+        figures(*args)
+        marks.append(len(calls))
+
+    monkeypatch.setattr(csvio, "write_figures", write_figures)
+    code, err = run_sweep(cfg, tmp_path / "sweep.csv", "--figures", str(tmp_path / "figs"))
+    assert code == 0, err
+    assert calls == [(630, 13), (630, 13), (255, 13), (101 + 5 + 3,)]
+    assert marks == [4, 4]
+
+
 def test_a_sweep_is_one_solve(tmp_path, monkeypatch):
     # five p levels, one invalid and one repeated: sweep() and the CLI each
     # price the whole grid in one _solve, and the CLI writes the oracle's bytes
@@ -239,10 +266,10 @@ def test_convergence_csv_matches_oracle(tmp_path):
 # the block formatter
 
 
-def percent_rows(values) -> str:
+def percent_rows(values) -> bytes:
     """The oracle: every cell by ``"%.17g" %``, joined by "," and each row ended by "\\n"."""
     n, k = values.shape
-    return (("%.17g" + ",%.17g" * (k - 1) + "\n") * n) % tuple(values.ravel().tolist())
+    return ((("%.17g" + ",%.17g" * (k - 1) + "\n") * n) % tuple(values.ravel().tolist())).encode()
 
 
 def assert_rows_text(cells) -> None:
@@ -297,7 +324,7 @@ def test_text_with_empty_cells_matches_percent_property(data):
     table[empty] = 0
     assert _text(table) == "".join(
         ",".join("" if e else "%.17g" % v for v, e in zip(row, blank)) + "\n"
-        for row, blank in zip(values.tolist(), empty.tolist()))
+        for row, blank in zip(values.tolist(), empty.tolist())).encode()
 
 
 def test_rows_text_random_bit_patterns():
@@ -316,7 +343,7 @@ def test_rows_text_rounds_ties_to_even():
     ties = np.concatenate((eighths.ravel(), sixteenths.ravel()))
     assert_rows_text(np.concatenate((ties, -ties)))
     assert _rows_text(np.array([[125000000000000.125, 125000000000000.375]])) == (
-        "125000000000000.12,125000000000000.38\n")
+        b"125000000000000.12,125000000000000.38\n")
 
 
 @pytest.mark.parametrize("j", range(-8, 19))
@@ -333,11 +360,11 @@ def test_rows_text_carry_below_powers_of_ten():
 
 
 def test_rows_text_exponent_and_special_forms():
-    assert _rows_text(np.array([[1e-6]])) == "9.9999999999999995e-07\n"
+    assert _rows_text(np.array([[1e-6]])) == b"9.9999999999999995e-07\n"
     cells = [1e-5, -2.0 ** -17, 2.0 ** -15, 1e-4, 0.0, -0.0, 1e16, 1e17, np.nan, -np.inf]
-    assert _rows_text(np.array([cells])) == ("1.0000000000000001e-05,-7.62939453125e-06,"
-                                            "3.0517578125e-05,0.0001,0,-0,10000000000000000,"
-                                            "1e+17,nan,-inf\n")
+    assert _rows_text(np.array([cells])) == (b"1.0000000000000001e-05,-7.62939453125e-06,"
+                                            b"3.0517578125e-05,0.0001,0,-0,10000000000000000,"
+                                            b"1e+17,nan,-inf\n")
     assert_rows_text(FALLBACK)
 
 

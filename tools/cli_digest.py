@@ -38,8 +38,9 @@ from fbmecon import BASE_PARAMS, ModelParams, cli
 
 BENCH_GRID = {"y_start": 0.0, "y_stop": 1.0, "y_step": 0.01,
               "p_list": "1,0.9,0.6,0.3,0", "Lambda_list": "-5,0,5"}
+# edge values; NaN and +-inf levels reach the manifest's NaN, Infinity and -Infinity
 EDGE_GRID = {"p_list": "1,0.9,0.6,0.3,0,2,nan,-0.0",
-             "Lambda_list": "1e4,-1e4,5,-5,0,700,nan,-0.0,53", "y_step": 0.25}
+             "Lambda_list": "1e4,-1e4,5,-5,0,700,nan,-0.0,53,inf,-inf", "y_step": 0.25}
 # labels in the exponent form (1e-5), printed by "%" itself (1e-7, 5e-324, 1e17) and -0
 LABEL_GRID = {"y_start": 0, "y_stop": 3e-5, "y_step": 1e-5,
               "p_list": "1e-7,0.6,1", "Lambda_list": "5e-324,-0.0,1e17,2.5"}
