@@ -285,8 +285,13 @@ def write_figures(fig_dir, grid, cells) -> None:
     rows = np.array([first[y] for y in sorted(first)], np.intp)
     vals = {}
     for var, listed, order in (("Lambda", grid.Lam, [0.0, -5.0, 5.0]), ("p", grid.p, [1.0, 0.9, 0.6])):
-        vals[var] = [v for v in order if v in listed]
-        vals[var] += [v for v in listed if v not in vals[var]]
+        gallery = [v for v in order if v in listed]
+        # then each other level once per label, so that no column name repeats
+        # (``in`` matches a NaN level only by identity)
+        levels = {}
+        for v in gallery + [v for v in listed if v not in gallery]:
+            levels.setdefault(f"{v:g}", v)
+        vals[var] = list(levels.values())
     manifest = []
     for fig, panel, series, by in ((3, "Lambda", "p", "protection"), (4, "p", "Lambda", "memory")):
         cols = [(f"{panel}={pv:g};{series}={sv:g}", {panel: pv, series: sv})

@@ -12,7 +12,7 @@ candidate optimizers:
 
     Region 1: interior optimum of the constraint-binding branch
               (x = (1 - p) n_C), a fixed point whose defining function is a
-              cubic in n_C, solved in closed form (companion eigenvalues);
+              cubic in n_C, solved in closed form (Cardano/Viete);
     Region 2: interior optimum of the cost-tempered branch (x = (1 - n_C)/k),
               in closed form;
     Region 3: the kink n_C = 1 / (1 + (1 - p) k);
@@ -34,6 +34,14 @@ candidate is priced once per batch, and every formula is elementwise over the
 states, protection level p included, so a sweep is one batch.  A single state
 is a 0-d batch: the same path runs on numpy scalars, and only the candidate
 and region tables stay arrays.
+The Region-1 cubic is solved per state in closed form, in the reciprocal
+m = 1/n_C (see :func:`_fixed_point_roots`): its coefficients are scaled by
+an exact power of two, so that extreme memory levels neither overflow nor
+lose digits to the scaling; one root is taken from the trigonometric or
+Cardano form on the side free of cancellation and the others by Vieta's
+relations, since a small root computed as a difference of large ones loses
+its digits; and the arccos, cosine and cube root come from libm, whose
+rounding does not depend on numpy's SIMD dispatch.
 The preference adjustment is the exponential ratio varphi = exp(beta Lambda)
 set by ``ModelParams.beta1``/``beta2``.  A state whose exponential overflows
 or whose formulas produce a non-finite value gets its own error; the other
@@ -316,46 +324,127 @@ def _n2(c: _Ctx):
 # Candidate holdings
 
 
+#: The powers of the scale 2^e by which A, B and C are divided.
+_POWERS = np.array([1, 2, 3])
+
+
+def _libm(fn, x, where):
+    """fn (a function of Python's math) of x where ``where`` holds, NaN elsewhere;
+    x is a numpy scalar or a 1-d array.  libm rounds alike under every numpy
+    build and CPU, where numpy's own arccos and cbrt loops differ in the last
+    bit between SIMD dispatch targets."""
+    if x.ndim == 0:
+        return np.float64(fn(float(x)) if where else math.nan)
+    out = np.full(x.shape, np.nan)
+    out[where] = [fn(v) for v in x[where].tolist()]
+    return out
+
+
+def _acos(v):
+    # max and min keep a NaN v (every comparison with it is false)
+    return math.acos(min(max(v, -1.0), 1.0))
+
+
+def _cbrt(v):  # of v >= 0; math.cbrt needs Python 3.11
+    return v ** (1.0 / 3.0)
+
+
 @np.errstate(all="ignore")
 def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
     """Every root in [0, 1] of g(n) = -n + n2 + a (1 - n/n3) (b0 + b1 n)^2.
 
     g is the cubic c3 n^3 + c2 n^2 + c1 n + c0 with c3 = -a b1^2/n3,
     c2 = a (b1^2 - 2 b0 b1/n3), c1 = a (2 b0 b1 - b0^2/n3) - 1 and
-    c0 = n2 + a b0^2.  Its roots are the reciprocals of the eigenvalues of the
-    companion matrix of the reversed polynomial c0 m^3 + c1 m^2 + c2 m + c3,
-    whose leading coefficient c0 = g(0) > 0 does not vanish when the cubic
-    degenerates (a = 0 at full protection, b1 = 0 for equal consumption
-    ratios), so no degree needs a case of its own.  Every eigenvalue gets one
-    Newton step on g in its factored form (at a = 0 it returns n2 exactly);
-    a real root is kept when it lies within tau of [0, 1] both before and
-    after the step, and is clipped to [0, 1].  eigvals is backward stable, so
-    a simple root moves by about kappa eps ||comp||: near an edge by at most
-    3.9 eps ||comp||_F = 1.5e-15 in an 874k-state scan, 1/600 of tau.
+    c0 = n2 + a b0^2 = g(0) > 0.  Its roots are n = 1/m for the roots m of
+    the reversed monic cubic m^3 + A m^2 + B m + C, (A, B, C) = (c1, c2, c3)/c0,
+    whose leading coefficient does not vanish when g degenerates (a = 0 at
+    full protection, b1 = 0 for equal consumption ratios), so no degree needs
+    a case of its own.  The products take a first (a b1, then b1), since
+    b1^2 alone overflows where a b1^2 is near 1e62.  The roots m come in
+    closed form, in three steps:
+
+    * Scaling.  m = 2^e mu, with 2^e about max(1, |A|, |B|^(1/2), |C|^(1/3))
+      from the binary exponents of c0 to c3, so the cubic in mu has
+      coefficients below 1 and its squares and cubes neither overflow nor
+      underflow at extreme memory levels, even where c_k/c0 itself would
+      overflow; a power of two scales exactly, so the scaling rounds nothing.
+    * One root without cancellation.  With three real roots (trigonometric
+      form) only the extreme root whose shift -A/3 has the sign of its
+      cosine term is taken from the cosine: the other two are differences of
+      large terms there, which lose the digits of a small root.  With one
+      real root (Cardano's form, the cube root taken where its two terms
+      add), the real root is taken directly when it is the largest in
+      magnitude, and otherwise as -C / |pair|^2 from the complex pair.
+    * Vieta.  With three real roots the other two solve the quadratic of sum
+      -A - m1 and product -C/m1, by the stable quadratic formula.
+
+    The arccos, cosine and cube root of each state come from Python's math
+    module (libm): numpy's arccos and cbrt loops round differently under
+    different SIMD dispatch targets, and a root's last bit can decide a
+    state's region at a tie.
+
+    Every root then gets one Newton step on g in its factored form (at
+    a = 0 it returns n2 exactly).  A real root is kept when it lies within
+    tau = 2^-40 of [0, 1] both before and after the step and g vanishes at
+    the stepped root to 64 ulps of its terms; it is clipped to [0, 1].  The
+    residual test drops the near-double pair that the rounded coefficients
+    make real where the exact g has a complex pair (at n = -b0/b1 when
+    a b0^2 is huge); a simple root lands within a few ulps, far inside both
+    tests.
 
     Arguments broadcast to the batch shape, (S,) or (); returns (3,) plus
     that shape: each state's roots in ascending order, padded with NaN.  A
     state with non-finite coefficients has no roots.
     """
-    t = 2.0 * b0 * b1
-    c0 = n2 + a * b0 * b0
-    comp = np.zeros(np.shape(c0) + (3, 3))
-    comp[..., 1, 0] = comp[..., 2, 1] = 1.0
-    # -c1/c0, -c2/c0, -c3/c0: dividing by -c0 rounds alike, as rounding is odd
-    row = np.array([a * (t - b0 * b0 / n3) - 1.0, a * (b1 * b1 - t / n3),
-                    -a * b1 * b1 / n3]) / -c0
-    comp[..., 0, :] = row.T
-    finite = np.isfinite(row)
-    if np.count_nonzero(finite) < finite.size:
-        comp[~finite.all(axis=0)] = 0.0
-    m = np.linalg.eigvals(comp).T
-    n = 1.0 / m.real
-    B = b0 + b1 * n
-    u = 1.0 - n / n3
-    n1 = n - (n2 - n + a * u * B * B) / (a * (2.0 * b1 * u * B - B * B / n3) - 1.0)
+    ab0, ab1 = a * b0, a * b1
+    c = np.array([n2 + ab0 * b0, ab0 * (2.0 * b1 - b0 / n3) - 1.0, ab1 * (b1 - 2.0 * b0 / n3),
+                  -ab1 * b1 / n3]).T  # c0, c1, c2, c3 on the last axis
+    mant, x = np.frexp(c)
+    x0 = x[..., :1]
+    # the least e >= 0 with |A| < 2^e, |B| < 2^(2e) and |C| < 2^(3e), where a zero c_k
+    # counts as 1 (frexp gives it the exponent 0); then c_k 2^-(k e + x0) / mant(c0)
+    # divides c_k by c0 with one rounding and no overflow
+    e = ((x[..., 1:] - x0 + _POWERS) // _POWERS).max(axis=-1, initial=0)
+    al, be, ga = (np.ldexp(c[..., 1:], -_POWERS * e[..., None] - x0) / mant[..., :1]).T
+    # mu = s - al/3 gives s^3 - 3 Q s - 2 R = 0; three real roots where R^2 < Q^3
+    Q = (al * al - 3.0 * be) / 9.0
+    R = (al * (2.0 * al * al - 9.0 * be) + 27.0 * ga) / 54.0
+    D = R * R - Q * Q * Q  # finite exactly where al, be and ga are
+    three = D < 0.0
+    shift, sQ, sign = al / 3.0, np.sqrt(Q), np.copysign(1.0, al)
+    # three real roots: the extreme one, -sign(al) 2 sqrt(Q) cos(phi/3) - al/3, adds two
+    # terms of one sign; the other two solve m^2 - S m + P = 0 (Vieta)
+    phi = _libm(_acos, sign * R / (Q * sQ), three)
+    m1 = -2.0 * sign * sQ * _libm(math.cos, phi / 3.0, three) - shift
+    S, P = -al - m1, -ga / m1
+    # the discriminant is >= 0 but for rounding
+    r = 0.5 * (S + np.copysign(np.sqrt(abs(S * S - 4.0 * P)), S))
+    # one real root: u + v - al/3 with u v = Q, the cube root taken where |R| and sqrt(D)
+    # add; or -ga / |pair|^2 where it is smaller than the complex pair
+    u = -np.copysign(_libm(_cbrt, abs(R) + np.sqrt(D), (D >= 0.0) & (D < np.inf)), R)
+    v = Q / u
+    t = u + v
+    real, re = t - shift, -0.5 * t - shift
+    pair = re * re + 0.75 * (u - v) * (u - v)
+    real = np.where(real * real < pair, -ga / pair, real)
+    # exactly one of m1 and real is a number where the coefficients are finite,
+    # and r and P/r are NaN, so no roots, where the cubic has one real root
+    scale = np.ldexp(1.0, -e)
     tau = 2.0 ** -40  # 9.1e-13
-    keep = (m.imag == 0.0) & (np.minimum(n, n1) >= -tau) & (np.maximum(n, n1) <= 1.0 + tau)
-    return np.sort(np.where(keep, n1, np.nan).clip(0.0, 1.0), axis=0)
+    roots, keep = [], []
+    for m in (np.fmax(m1, real), r, P / r):
+        n = 1.0 / m * scale
+        w = b0 + b1 * n
+        aw, kink = a * w, 1.0 - n / n3
+        slope = aw * (2.0 * b1 * kink - w / n3) - 1.0
+        n1 = n - (n2 - n + aw * w * kink) / slope
+        w = b0 + b1 * n1
+        term = a * w * w * (1.0 - n1 / n3)
+        roots.append(n1)
+        # a NaN (complex) root fails every test
+        keep.append((n >= -tau) & (n1 >= -tau) & (n <= 1.0 + tau) & (n1 <= 1.0 + tau)
+                    & (abs(n2 - n1 + term) <= 2.0 ** -46 * (n2 + abs(n1) + abs(term) + abs(slope * n1))))
+    return np.sort(np.where(keep, roots, np.nan).clip(0.0, 1.0), axis=0)
 
 
 def _pick(x: np.ndarray, j) -> np.ndarray:

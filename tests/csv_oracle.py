@@ -126,6 +126,15 @@ def _figure_cell(row, field: str) -> str:
     return ""
 
 
+def _distinct_labels(values) -> list:
+    """The first value of each "%g" label, in order: a column name never repeats."""
+    out = []
+    for v in values:
+        if all(f"{u:g}" != f"{v:g}" for u in out):
+            out.append(v)
+    return out
+
+
 def write_figures(fig_dir: Path, rows, rc) -> None:
     """One CSV per figure id, wide format: y plus one column per line.
 
@@ -141,8 +150,8 @@ def write_figures(fig_dir: Path, rows, rc) -> None:
     panel_orders = {"Lambda": [0.0, -5.0, 5.0], "p": [1.0, 0.9, 0.6]}
     lam_vals = [v for v in panel_orders["Lambda"] if v in rc.Lambda_list]
     p_vals = [v for v in panel_orders["p"] if v in rc.p_list]
-    lam_vals += [v for v in rc.Lambda_list if v not in lam_vals]
-    p_vals += [v for v in rc.p_list if v not in p_vals]
+    lam_vals = _distinct_labels(lam_vals + [v for v in rc.Lambda_list if v not in lam_vals])
+    p_vals = _distinct_labels(p_vals + [v for v in rc.p_list if v not in p_vals])
     manifest = []
     for fig, (field, panel, series) in sorted(_FIGURES.items()):
         panels = lam_vals if panel == "Lambda" else p_vals

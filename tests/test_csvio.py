@@ -4,6 +4,7 @@ import contextlib
 import csv
 import importlib
 import io
+import json
 from dataclasses import fields, replace
 from types import SimpleNamespace
 from unittest import mock
@@ -165,6 +166,8 @@ def test_figures_match_oracle(sweep_cases, tmp_path):
     # manifest leaves json writes as NaN, Infinity and -Infinity, and a label
     # "%.17g" prints itself (1e-7)
     ([0.5, 0.25, 1.0], [np.nan, 0.6, -0.0], [np.inf, 1e-7, -np.inf, 5.0]),
+    # repeated NaN levels are one level, as repeated numbers are
+    ([0.5, 0.25], [0.6, np.nan, np.nan], [5.0, 5.0]),
 ])
 def test_sweep_and_figures_of_a_grid_match_oracle(tmp_path, y, p, Lam):
     grid = _price_grid(BASE_PARAMS, y, p, Lam)
@@ -179,6 +182,11 @@ def test_sweep_and_figures_of_a_grid_match_oracle(tmp_path, y, p, Lam):
     assert len(names) == 13 and sorted(f.name for f in new.iterdir()) == names
     for name in names:
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
+    # no column name repeats, so the manifest names every column
+    manifest = json.loads((new / "figures_manifest.json").read_text(encoding="utf-8"))
+    for entry in manifest:
+        header = (new / entry["file"]).read_text(encoding="utf-8").splitlines()[0].split(",")[1:]
+        assert len(set(header)) == len(header) == len(entry["columns"]), entry["file"]
 
 
 @pytest.mark.parametrize("params, y, region", [(BASE_PARAMS, 0.5, 2), (BASE_PARAMS, 0.0, "boundary"),

@@ -7,11 +7,16 @@ agree up to the oracle's bisection width, amplified by each field's
 sensitivity to the holding.
 """
 
+import contextlib
 import importlib
+import io
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,12 +179,57 @@ def test_roots_full_protection_is_n2_exactly():
 
 
 def test_root_rounded_past_the_edge_is_kept():
-    # g(0) = 1 > 0 >= g(1) = -5e-42, yet eigvals puts the root near 1 at
+    # g(0) = 1 > 0 >= g(1) = -5e-42, and the root near 1 can round to
     # 1 + 2.2e-16; it must be kept and clipped, not reported as missing
     params = replace(BASE_PARAMS, p=0, k=0.5, beta1=2)
     res = equilibrium_batch(0.001, 53.0, 0.0, params)[0]
     assert isinstance(res, EquilibriumResult), res
     assert res.region == "nonexistent" and res.candidates[0] == 1.0
+
+
+def _root_arguments(params, y, L, p):
+    """The (n2, n3, a, b0, b1) that the solve of the states (y, L) at levels p
+    hands to the root stage."""
+    seen, real = [], eqmod._fixed_point_roots
+    eqmod._fixed_point_roots = lambda *args: seen.append(args) or real(*args)
+    try:
+        eqmod._solve(params, y, L, np.zeros_like(y), p)
+    finally:
+        eqmod._fixed_point_roots = real
+    return seen[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    y=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=20),
+    L=st.floats(-20.0, 20.0),
+    p=st.floats(0.0, 1.0),
+    k=st.sampled_from([0.5, 3.0, 20.0]),
+)
+def test_roots_match_the_eigvals_oracle(y, L, p, k):
+    # at the scales of BASE_PARAMS the closed form finds the roots that the
+    # former companion-matrix solve finds, each within 4 ulps
+    y = np.array(y)
+    args = _root_arguments(replace(BASE_PARAMS, k=k), y, np.full(y.size, L), np.full(y.size, p))
+    got, want = _fixed_point_roots(*args), root_oracle.eigvals_roots(*args)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ulp = np.spacing(np.fmax(abs(got), abs(want)))
+    assert np.all(np.isnan(got) | (abs(got - want) <= 4 * ulp))
+
+
+def test_root_at_the_kink_is_found():
+    # eigvals lost this root: a b1^2 is about 1e62, which pins g's one root in
+    # [0, 1] to the kink n3 in double precision, where Regions 1 and 3 meet
+    y, L, lam = (np.float64(v) for v in KINK_ROOT_STATE)
+    args = _root_arguments(KINK_ROOT, y, L, np.float64(KINK_ROOT.p))
+    exact = root_oracle.sturm(root_oracle.cubic(*map(float, args)))
+    assert root_oracle.count(exact, Fraction(0), Fraction(1)) == 1
+    roots = _fixed_point_roots(*args)
+    n3 = 1.0 / (1.0 + (1.0 - KINK_ROOT.p) * KINK_ROOT.k)
+    assert roots[0] == n3 and np.all(np.isnan(roots[1:]))
+    assert np.all(np.isnan(root_oracle.eigvals_roots(*args)))
+    (res,) = equilibrium_batch(y, L, lam, KINK_ROOT)
+    assert isinstance(res, EquilibriumResult) and res.candidates[0] == res.candidates[2] == n3
 
 
 # the roots against an exact Sturm count: inputs span the scales the solver
@@ -386,10 +436,15 @@ STAGE_ERRORS = [
     ((0.3, 0.0, 1e308), EquilibriumError(
         "r formula produced a non-finite value at y=0.3, Lambda=0, n_C=0.839049")),
 ]
-# the root stage: at an extreme memory level eigvals finds no root in [0, 1]
-ROOTLESS = replace(BASE_PARAMS, beta1=0.5)
-ROOTLESS_STATE = (0.007627729982231036, -585.5035095049648, 0.0)
+# the root stage: here n2 = 1, qC/qM = 3e-175 and qM = 2.4e307, so the expanded
+# cubic's coefficient c1 = a b0 (2 b1 - b0/n3) - 1 overflows and no root is found,
+# though g has three roots in [0, 1]
+ROOTLESS = replace(BASE_PARAMS, alpha_M=0.25, beta1=1.0, k=20.0)
+ROOTLESS_STATE = (0.1, -615.0, 0.0)
 ROOTLESS_ERROR = EquilibriumError("no Region-1 fixed point found on [0, 1] despite the bracket guarantee")
+# a state whose root eigvals lost: a b1^2 = 1e62 pins g's one root in [0, 1] to the kink n3
+KINK_ROOT = replace(BASE_PARAMS, beta1=0.5)
+KINK_ROOT_STATE = (0.007627729982231036, -585.5035095049648, 0.0)
 
 
 def test_first_error_of_each_stage_is_pinned():
@@ -446,6 +501,7 @@ _U = st.floats(0.0, 1.0)
 @example(params=VANISHING, y=0.5, L=0.0, lam=0.0)
 @example(params=VANISHING, y=0.3, L=0.0, lam=1e308)
 @example(params=ROOTLESS, y=ROOTLESS_STATE[0], L=ROOTLESS_STATE[1], lam=ROOTLESS_STATE[2])
+@example(params=KINK_ROOT, y=KINK_ROOT_STATE[0], L=KINK_ROOT_STATE[1], lam=KINK_ROOT_STATE[2])
 def test_scalar_entry_is_a_batch_of_one_property(params, y, L, lam):
     # the scalar entry runs the batch path on numpy scalars; its powers go
     # through np.power, whose rounding on scalars is that of the array loops
@@ -496,13 +552,59 @@ def test_one_interior_solve_prices_each_candidate_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("_rate", "_mu", "_J"):
+    for name in ("_rate", "_mu", "_J", "_fixed_point_roots"):
         monkeypatch.setattr(eqmod, name, count(name, getattr(eqmod, name)))
-    monkeypatch.setattr(np.linalg, "eigvals", count("eigvals", np.linalg.eigvals))
     equilibrium(MarketState(0.5, 1.0, 0.2), BASE_PARAMS)
     # one root: the objective is tabled once, for the region tests
-    assert calls == {"_rate": 1, "_mu": 1, "eigvals": 1, "_J": 1}
+    assert calls == {"_rate": 1, "_mu": 1, "_fixed_point_roots": 1, "_J": 1}
     calls.clear()
     equilibrium(MarketState(0.99, -10.0, 0.2), NOEQ)
     # three roots: the objective also weighs each root under its own prices
-    assert calls == {"_rate": 1, "_mu": 1, "eigvals": 1, "_J": 2}
+    assert calls == {"_rate": 1, "_mu": 1, "_fixed_point_roots": 1, "_J": 2}
+
+
+# ---------------------------------------------------------------------------
+# Results do not depend on numpy's SIMD dispatch
+
+# the benchmark grid's sweep and three scalar states; their exp(beta Lambda)
+# rounds alike under every dispatch (numpy's exp and power loops do not in
+# general: at Lambda = 1 under BASE_PARAMS, c_coeff_C moves by an ulp)
+_PRICE = """
+import numpy as np
+from dataclasses import replace
+from fbmecon import BASE_PARAMS, MarketState, equilibrium, sweep
+print(repr(sweep(BASE_PARAMS, np.round(np.arange(101) / 100.0, 2), (1.0, 0.9, 0.6, 0.3, 0.0),
+                 (-5.0, 0.0, 5.0))))
+print(repr(equilibrium(MarketState(0.5, 5.0, 0.2), BASE_PARAMS)))
+print(repr(equilibrium(MarketState(0.5, -5.0, 0.2), replace(BASE_PARAMS, p=0.0, k=0.5, beta1=2.0))))
+print(repr(equilibrium(MarketState(0.99, -5.0, 0.2), replace(BASE_PARAMS, p=0.0))))
+"""
+
+
+def _avx512_targets() -> list[str]:
+    """numpy's AVX-512 dispatch targets that this host runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__
+            if (t.startswith("AVX512") or t == "X86_V4") and umath.__cpu_features__.get(t)]
+
+
+def test_prices_do_not_depend_on_simd_dispatch():
+    # numpy's arccos and cbrt loops round differently without AVX-512; the
+    # root stage takes them from libm, so every digit of every result holds
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("this host dispatches no AVX-512 loop")
+    with contextlib.redirect_stdout(io.StringIO()) as here:
+        exec(_PRICE, {})
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PRICE], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got, want = proc.stdout.splitlines(), here.getvalue().splitlines()
+    # the line numbers only: a diff of the 1.6 MB sweep line would take minutes
+    assert len(got) == len(want) and [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
