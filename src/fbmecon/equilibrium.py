@@ -100,28 +100,35 @@ def x_star(n_C, k: float, p: float):
 # Per-batch context
 
 
+def _any(mask) -> bool:
+    """Whether some entry holds: a count of an array, bool() of a numpy or Python scalar."""
+    return bool(np.count_nonzero(mask)) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 class _Failures:
     """The first error of each state of a batch; None while the state prices."""
 
     def __init__(self, y, Lam):
-        self.y, self.Lam = np.ravel(y), np.ravel(Lam)  # flat, like err and failed
-        self.err: list[Exception | None] = [None] * self.y.size
-        self.failed = np.zeros(self.y.size, dtype=bool)
+        self.y, self.Lam = y, Lam  # as given; raveled only for a message
+        self.err: list[Exception | None] = [None] * y.size
+        self.failed = np.zeros(len(self.err), dtype=bool)  # flat, like err
+        self.some = False  # whether any state has failed
 
     def flag(self, mask, text, kind=EquilibriumError) -> None:
         """Record ``kind(text(i))`` (or ``kind(text)``) for each masked state
         that has not failed yet."""
         for i in np.flatnonzero(mask & ~self.failed).tolist():
             self.err[i] = kind(text(i) if callable(text) else text)
+            self.some = True
         self.failed |= mask
 
     def at(self, i: int) -> str:
-        return f"y={self.y[i]:g}, Lambda={self.Lam[i]:g}"
+        return f"y={np.ravel(self.y)[i]:g}, Lambda={np.ravel(self.Lam)[i]:g}"
 
 
-@dataclass
 class _Ctx:
-    """One batch: its parameter constants and one array entry per state."""
+    """One batch: its parameter constants and one array entry per state, in
+    one dict from :func:`_context` (a plain class: a dataclass __init__ costs more)."""
 
     P: ModelParams
     d: DerivedParams
@@ -149,6 +156,9 @@ class _Ctx:
     w_C: np.ndarray  # (1-y) + y qC/qM
     w_M: np.ndarray  # y + (1-y) qM/qC
 
+    def __init__(self, fields: dict):
+        self.__dict__ = fields
+
 
 @lru_cache(maxsize=64)
 def _param_constants(P: ModelParams) -> tuple[dict, float, float, float]:
@@ -174,10 +184,10 @@ def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndar
     """
     beta = d.beta
     varphi = np.exp(beta * Lam)
-    inf = np.isinf(varphi)
-    if np.count_nonzero(inf):
+    inf = varphi == np.inf
+    if _any(inf):
         fail.flag(np.isfinite(Lam) & inf,
-                  lambda i: f"adjustment functions failed at Lambda={fail.Lam[i]:g}: math range error")
+                  lambda i: f"adjustment functions failed at Lambda={np.ravel(Lam)[i]:g}: math range error")
     return varphi, beta, beta * beta
 
 
@@ -221,8 +231,8 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
     k, rho_C, rho_M, hh = k
     P, d = params, k["d"]
     inside = (y >= 0.0) & (y <= 1.0)
-    if np.count_nonzero(inside & np.isfinite(Lam + lam)) < np.size(y):
-        fail.flag(~inside, lambda i: f"consumption share y must lie in [0, 1], got {float(fail.y[i])!r}",
+    if _any(~(inside & np.isfinite(Lam + lam))):
+        fail.flag(~inside, lambda i: f"consumption share y must lie in [0, 1], got {float(np.ravel(y)[i])!r}",
                   ValueError)
         fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
     varphi, r1, r2 = _adjust(d, Lam, fail)
@@ -233,7 +243,7 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
     y1 = 1.0 - y
     C = y1 / qC + y / qM
     A = P.sigma_D - (d.h / P.epsilon) * r1 * (d.theta_C * y1 + d.theta_M * y)
-    if np.count_nonzero(np.isfinite(qC + qM + C + A)) < np.size(y):  # finite only if every term is
+    if _any(~np.isfinite(qC + qM + C + A)):  # finite only if every term is
         finite = np.isfinite([qC, qM, C, A]).reshape(4, -1)
         labels = ("consumption-wealth ratio of C", "consumption-wealth ratio of M",
                   "wealth aggregator", "volatility numerator")
@@ -242,8 +252,8 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
     cons_C = qC - d.theta_C * lam * r1 - hh * d.theta_C * ((d.theta_C - 1.0) * r1 * r1 + r2)
     cons_M = qM - d.theta_M * lam * r1 - hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r2)
     net_l = k["net_l"]
-    c = _Ctx(
-        P=P, **k, p=p, n3=1.0 / (1.0 + (1.0 - p) * P.k), y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,
+    c = _Ctx(dict(
+        k, P=P, p=p, n3=1.0 / (1.0 + (1.0 - p) * P.k), y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,
         D_S=net_l / C,
         D_WC=net_l * qC / y1,
         S_WC=C * qC / y1,
@@ -251,7 +261,7 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
         r0=(P.mu_D + P.sigma_D * Lam - P.l_C * qC - P.l_M * qM + y1 * cons_C + y * cons_M),
         w_C=y1 + y * (qC / qM),
         w_M=y + y1 * (qM / qC),
-    )
+    ))
     return c, fail
 
 
@@ -444,12 +454,15 @@ def _fixed_point_roots(n2, n3, a, b0, b1) -> np.ndarray:
         # a NaN (complex) root fails every test
         keep.append((n >= -tau) & (n1 >= -tau) & (n <= 1.0 + tau) & (n1 <= 1.0 + tau)
                     & (abs(n2 - n1 + term) <= 2.0 ** -46 * (n2 + abs(n1) + abs(term) + abs(slope * n1))))
-    return np.sort(np.where(keep, roots, np.nan).clip(0.0, 1.0), axis=0)
+    out = np.array(roots)
+    out[~np.array(keep)] = np.nan
+    out.clip(0.0, 1.0, out=out).sort(axis=0)
+    return out
 
 
 def _pick(x: np.ndarray, j) -> np.ndarray:
     """Per state, column j of x (quantity, column, *states), for 0-d and 1-d batches."""
-    return x[(slice(None), j) + np.indices(np.shape(j), sparse=True)]
+    return x[(slice(None), j) + tuple(map(np.arange, j.shape))]
 
 
 def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
@@ -463,22 +476,23 @@ def _candidates(c: _Ctx, fail: _Failures, live) -> np.ndarray:
     P, d = c.P, c.d
     n2 = _n2(c)
     G = (1.0 - c.p) * c.net_l * c.y / (2.0 * P.H * c.e2h * d.delta_M * c.qM * c.A * c.A)
-    a = np.where(c.A == 0.0, 0.0, n2 * G)[()]  # at p = 1 the fixed point is n2 for any A
+    zero = c.A == 0.0  # at p = 1 the fixed point is n2 for any A
+    a = np.where(zero, 0.0, n2 * G)[()] if _any(zero) else n2 * G
     g0 = n2 + a * c.qM * c.qM
     g1 = n2 - 1.0 + a * (1.0 - 1.0 / c.n3) * c.qC * c.qC
     roots = _fixed_point_roots(n2, c.n3, a, c.qM, c.qC - c.qM)
-    cols = np.empty((6,) + np.shape(n2))
+    cols = np.empty((6,) + n2.shape)
     cols[:3], cols[3], cols[4], cols[5] = roots, n2, c.n3, 1.0
     # [holding, x, sigma, kappa, r, mu] of the three roots and three closed forms
     table = np.array([cols, *_prices(c, cols)])
     finite = np.isfinite(table[2:])
     ok = (c.A != 0.0) & (g0 >= 0.0) & (g1 <= 0.0) & (roots[0] == roots[0])
     # a NaN holding prices to NaN, so the rest is finite iff the count matches
-    if (np.count_nonzero(live & ~ok)
+    if (_any(live & ~ok)
             or np.count_nonzero(finite) != 4 * np.count_nonzero(cols == cols)):
         _flag_candidates(c, fail, live, g0, g1, roots, cols, finite)
     cand = table[:, 2:]  # root 3's column becomes the picked root's
-    if np.count_nonzero(roots[1] == roots[1]):  # some state has roots to weigh
+    if _any(roots[1] == roots[1]):  # some state has roots to weigh
         n, x, sigma, kappa, r, mu = table[:, :3]
         J_roots = _J(c, n, x, r, mu, sigma)
         best = np.where(np.isfinite(J_roots), J_roots, -np.inf).argmax(axis=0)
@@ -525,13 +539,13 @@ def _select(c: _Ctx, cand, live):
     avail = (n >= 0.0) & (n <= 1.0)  # NaN fails both tests
     T = _J(c, n[None], x[None], r[:, None], mu[:, None], sigma[:, None])  # [region, candidate]
     T = np.where(avail, T, np.nan)
-    top = np.where(np.isfinite(T), T, -np.inf).max(axis=1)
+    top = T.max(axis=1, where=np.isfinite(T), initial=-np.inf)
     diag = T.diagonal(0, 0, 1).T
     # an unavailable candidate's diag is NaN; top > -inf when a finite entry exists
     consistent = (diag >= top) & (top > -np.inf)
     j = consistent.argmax(axis=0)
-    code = np.where(consistent.any(axis=0), j + 1 + ((j == 0) & (c.p == 1.0)), _NONEXISTENT)
-    return np.where(live, code, _NONEXISTENT), j, T, avail
+    code = (j + 1 + ((j == 0) & (c.p == 1.0))) * (live & consistent.any(axis=0))  # else 0, _NONEXISTENT
+    return code, j, T, avail
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +600,14 @@ class _Batch:
     """The equilibria of one batch as arrays, one column per state: the rows
     y, Lambda, lambda, p; the region codes (_NONEXISTENT also for a failed state);
     the _FIELDS rows, the first 12 NaN where the code is _NONEXISTENT; each
-    state's error or None; and, if the batch ran the region tests, their
-    objective tables (region, candidate, state), candidates and availability."""
+    state's error or None; and, if the batch ran the region tests, their 24 rows:
+    objective tables (16, region-major), candidates (4) and availability (4, 1.0 or 0.0)."""
 
     states: np.ndarray
     code: np.ndarray
     fields: np.ndarray
     err: list
-    tests: tuple | None = None
+    tests: np.ndarray | None = None
 
 
 def _finish(c: _Ctx, fail: _Failures, code, n_C, x, sigma, kappa, r, mu, tests=None) -> _Batch:
@@ -604,7 +618,8 @@ def _finish(c: _Ctx, fail: _Failures, code, n_C, x, sigma, kappa, r, mu, tests=N
     sigma_y is zero at the boundary.  A state whose existing equilibrium has
     a non-finite field fails.
     """
-    sigma_y = np.where(code == _BOUNDARY, 0.0, _sigma_y(c, kappa))[()]
+    boundary = code == _BOUNDARY
+    sigma_y = np.where(boundary, 0.0, _sigma_y(c, kappa))[()] if _any(boundary) else _sigma_y(c, kappa)
     mu_y = _mu_y(c, x, kappa, r, sigma_y)
     # mu_H = mu + sigma Lambda absorbs the memory drift, sigma_H = sqrt(2H) eps^h sigma
     # is the volatility the Brownian shock carries, and mu_G = mu_H + (1 - x*) D/S
@@ -612,12 +627,12 @@ def _finish(c: _Ctx, fail: _Failures, code, n_C, x, sigma, kappa, r, mu, tests=N
     mu_H = mu + sigma * c.Lam
     fields = np.array([n_C, 1.0 - n_C, x, r, mu, sigma, kappa, mu_y, sigma_y, mu_H, c.vol * sigma,
                        mu_H + (1.0 - x) * c.D_S, c.D_S, c.D_WC, c.S_WC, c.qC, c.qM])
-    fields, code = fields.reshape(len(_FIELDS), -1), np.reshape(code, -1)  # 0-d: add a state axis
+    fields, code = fields.reshape(len(_FIELDS), -1), np.asarray(code).reshape(-1)  # 0-d: add a state axis
     finite = np.isfinite(fields[:len(RESULT_FIELDS)])
     if np.count_nonzero(finite) < finite.size:
         fail.flag((code != _NONEXISTENT) & ~finite.all(axis=0), lambda i: (
             f"non-finite {RESULT_FIELDS[int(np.argmin(finite[:, i]))]} at {fail.at(i)}"))
-    code = np.where(fail.failed, _NONEXISTENT, code)
+    code = np.where(fail.failed, _NONEXISTENT, code) if fail.some else code
     if np.count_nonzero(code) < len(code):
         fields[:len(RESULT_FIELDS) - 1, code == _NONEXISTENT] = np.nan
     return _Batch(np.array([c.y, c.Lam, c.lam, c.p]).reshape(4, -1), code, fields, fail.err, tests)
@@ -626,17 +641,17 @@ def _finish(c: _Ctx, fail: _Failures, code, n_C, x, sigma, kappa, r, mu, tests=N
 def _results(b: _Batch) -> list:
     """The public result of each state of a batch: its EquilibriumResult or error."""
     values = b.fields.T.tolist()
-    if b.tests is not None:  # per state: its tables, candidates and availability
-        tables, cands, avail = (a.transpose(-1, *range(a.ndim - 1)).tolist() for a in b.tests)
+    tests = None if b.tests is None else b.tests.T.tolist()
     results: list = []
     for s, ((y, L, l, p), code) in enumerate(zip(b.states.T.tolist(), b.code.tolist())):
         if b.err[s] is not None:
             results.append(b.err[s])
             continue
         kw = dict(zip(_FIELDS, values[s]))
-        if code != _BOUNDARY and b.tests is not None:
-            kw["J_tables"] = {j + 1: tuple(row) for j, row in enumerate(tables[s]) if avail[s][j]}
-            kw["candidates"] = tuple(cands[s])
+        if code != _BOUNDARY and tests is not None:
+            t = tests[s]
+            kw["J_tables"] = {j + 1: tuple(t[4 * j:4 * j + 4]) for j in range(4) if t[20 + j]}
+            kw["candidates"] = tuple(t[16:20])
         results.append(EquilibriumResult(
             state=MarketState(y, L, l), p=p, region=_REGION_NAMES.get(code, code),
             exists=code != _NONEXISTENT, **kw,
@@ -657,13 +672,14 @@ def _solve(params: ModelParams, y, Lam, lam, p=None) -> _Batch:
     if c is None:  # no level has valid parameters: every state has failed
         nan = np.full((len(_FIELDS), np.size(y)), np.nan)
         return _Batch(np.array([y, Lam, lam, p]), np.zeros(np.size(y), int), nan, fail.err)
+    y = c.y  # as numpy values: a single state may come as Python floats
     interior = (y > 0.0) & (y < 1.0)
-    live = interior & ~fail.failed.reshape(np.shape(y))
+    live = interior & ~fail.failed.reshape(np.shape(y)) if fail.some else interior
     cand = _candidates(c, fail, live)
     code, j, tables, avail = _select(c, cand, live)
     n_C, x, sigma, kappa, r, mu = _pick(cand, j)
     boundary = ~interior
-    if np.count_nonzero(boundary):
+    if _any(boundary):
         # explicit limits: the sole owner holds the firm undiverted, and the
         # Sharpe ratio takes the owner's delta (C at y = 0, M at y = 1)
         delta = np.where(y == 0.0, c.d.delta_C, c.d.delta_M)
@@ -674,7 +690,7 @@ def _solve(params: ModelParams, y, Lam, lam, p=None) -> _Batch:
         kappa = np.where(boundary, c.vol * delta * c.A, kappa)
         r = _rate(c, n_C, x, kappa, sigma)
         mu = _mu(c, r, sigma, kappa, x)
-    tests = (tables.reshape(4, 4, -1), cand[0].reshape(4, -1), avail.reshape(4, -1))
+    tests = np.concatenate([tables.reshape(16, -1), cand[0].reshape(4, -1), avail.reshape(4, -1)])
     return _finish(c, fail, code, n_C, x, sigma, kappa, r, mu, tests)
 
 
@@ -727,7 +743,7 @@ def equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
         ValueError: if the parameters are invalid.
         EquilibriumError: if the solve fails at this state.
     """
-    return _first(_solve(params, *map(np.float64, (state.y, state.Lambda, state.lambda_small))))
+    return _first(_solve(params, state.y, state.Lambda, state.lambda_small))
 
 
 @np.errstate(all="ignore")
@@ -822,9 +838,12 @@ def partial_policies(prices: Prices, state: MarketState, params: ModelParams) ->
     diversion.
 
     Raises:
-        ValueError: if sigma is zero, a ratio is not positive, or the
-            parameters are invalid.
+        ValueError: if a price is not finite, sigma is zero, a ratio is not
+            positive, or the parameters are invalid.
     """
+    for name, value in vars(prices).items():
+        if not math.isfinite(value):
+            raise ValueError(f"partial policies need finite prices, got {name}={value!r}")
     if prices.sigma == 0.0:
         raise ValueError("partial policies need sigma != 0")
     if min(prices.D_over_S, prices.D_over_WC, prices.S_over_WC, prices.S_over_WM) <= 0.0:
@@ -832,7 +851,7 @@ def partial_policies(prices: Prices, state: MarketState, params: ModelParams) ->
     c, _ = _context(params, state.y, state.Lambda, state.lambda_small)
     P = c.P
     # the objective uses the handed ratios, not the state-implied ones
-    c = replace(c, D_S=prices.D_over_S, D_WC=prices.D_over_WC, S_WC=prices.S_over_WC)
+    c.D_S, c.D_WC, c.S_WC = prices.D_over_S, prices.D_over_WC, prices.S_over_WC
 
     excess = prices.mu - prices.r + prices.sigma * state.Lambda
     den0 = 2.0 * P.H * c.e2h * c.d.delta_C * prices.S_over_WC * prices.sigma**2

@@ -321,6 +321,15 @@ def test_partial_policies_validates_inputs():
         partial_policies(Prices(0.0, 0.0, 0.1, -1.0, 1.0, 1.0, 1.0), MarketState(0.5), BASE_PARAMS)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["r", "mu", "sigma", "D_over_S", "D_over_WC", "S_over_WC", "S_over_WM"])
+def test_partial_policies_rejects_non_finite_prices(field, value):
+    # a NaN price makes every objective NaN, and argmax would then "choose" the kink
+    prices = replace(handed_prices(False), **{field: value})
+    with pytest.raises(ValueError, match=rf"^partial policies need finite prices, got {field}="):
+        partial_policies(prices, MarketState(0.5), NOEQ)
+
+
 def test_nonexistence_detected():
     res = equilibrium(MarketState(0.5), NOEQ)
     assert not res.exists

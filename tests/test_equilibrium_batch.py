@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -461,6 +462,36 @@ def test_first_error_of_each_stage_is_pinned():
         except (ValueError, EquilibriumError) as exc:
             got = exc
         assert _outcome(got) == _outcome(want), state
+
+
+# nonexistent (Lambda = 53) and three-root (Lambda = -10) states under NOEQ
+NOEQ_STATES = [(0.3, 53.0, 0.2), (0.001, 53.0, 0.0), (0.99, -10.0, 0.2), (0.995, -10.0, 0.2)]
+
+
+@pytest.mark.parametrize("params, states", [
+    (VANISHING, [state for state, _ in STAGE_ERRORS]), (NOEQ, NOEQ_STATES),
+    (ROOTLESS, [ROOTLESS_STATE]), (KINK_ROOT, [KINK_ROOT_STATE])], ids=["stages", "noeq", "rootless", "kink"])
+def test_edge_states_price_without_warnings(params, states):
+    # overflow, NaN and inf stay inside the solver's errstate; the root stage,
+    # which tests call directly, keeps its own
+    ys, Ls, ls = (np.array(v) for v in zip(*states))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = equilibrium_batch(ys, Ls, ls, params)
+        for state, res in zip(states, batch):
+            try:
+                scalar = equilibrium(MarketState(*state), params)
+            except (ValueError, EquilibriumError) as exc:
+                scalar = exc
+            assert _outcome(scalar) == _outcome(res), state
+        live = (ys >= 0.0) & (ys <= 1.0) & np.isfinite(Ls + ls)
+        args = _root_arguments(params, ys[live], Ls[live], np.full(np.count_nonzero(live), params.p))
+        _fixed_point_roots(*args)
+
+
+def test_empty_batches_price_to_empty_lists():
+    assert equilibrium_batch([], [], [], BASE_PARAMS) == []
+    assert sweep(BASE_PARAMS, [], [0.6], [0.0]) == []
 
 
 @pytest.mark.parametrize("params", [BASE_PARAMS, NOEQ, VANISHING], ids=["base", "noeq", "vanishing"])

@@ -7,8 +7,12 @@ extreme memory levels (NaN and +-1e4 included); then come its interior
 states with finite memory levels solved one at a time by ``equilibrium``
 (+-1e4 fail), boundary calls and two digests of a whole ``sweep``: one on
 the benchmark grid, and one whose protection levels include an invalid one,
-NaN, -0.0 and a repeat.  Run it on two versions of the package and diff the
-outputs to list exactly the states whose results changed:
+NaN, -0.0 and a repeat.  On a smaller grid of parameters and states follow
+the other entry points that build a solver context: ``benchmark_equilibrium``,
+``benchmark_differences`` of each state's equilibrium and benchmark, and
+``partial_policies`` at three finite handed-in price systems.  Run it on two
+versions of the package and diff the outputs to list exactly the states
+whose results changed:
 
     PYTHONPATH=src python tools/result_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/result_digest.py > old.txt
@@ -24,8 +28,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from fbmecon import (BASE_PARAMS, MarketState, boundary_equilibrium, equilibrium,
-                     equilibrium_batch, sweep)
+from fbmecon import (BASE_PARAMS, MarketState, Prices, benchmark_differences,
+                     benchmark_equilibrium, boundary_equilibrium, equilibrium, equilibrium_batch,
+                     partial_policies, sweep)
 
 P_VALUES = (0.0, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0)
 K_VALUES = (0.5, 3.0, 20.0)
@@ -33,6 +38,12 @@ BETA1_VALUES = (0.0, 0.1, 0.5, 2.0)
 LAM_VALUES = (0.0, 0.4)
 Y_VALUES = (0.0, 1e-12, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0)
 LAMBDA_VALUES = (math.nan, -1e4, -60.0, -13.0, -5.0, 0.0, 1.0, 5.0, 25.0, 53.0, 1e4)
+# the smaller grid of the other entry points; the states' Lambda = +-1e4 fail
+SMALL_GRID = list(itertools.product((0.0, 0.6, 1.0), K_VALUES, (0.0, 0.5), LAM_VALUES))
+SMALL_STATES = list(itertools.product((1e-6, 0.1, 0.5, 0.99), (-1e4, -13.0, 0.0, 5.0, 53.0)))
+# handed-in prices (r, mu, sigma, D/S, D/W_C, S/W_C, S/W_M), all finite
+PRICES = (Prices(0.01, 0.05, 0.2, 0.03, 0.05, 1.5, 2.5), Prices(0.02, 0.01, -0.1, 0.04, 0.2, 0.8, 3.0),
+          Prices(-0.03, 0.2, 1e-3, 2.0, 1e-4, 50.0, 0.5))
 
 
 def digest(outcome) -> str:
@@ -70,6 +81,17 @@ def main() -> None:
     print(f"sweep rows={len(rows)} {digest(rows)}")
     rows = sweep(BASE_PARAMS, Y_VALUES, (0.6, 2.0, math.nan, -0.0, 0.6), LAMBDA_VALUES)
     print(f"sweep edge rows={len(rows)} {digest(rows)}")
+    for p, k, beta1, lam in SMALL_GRID:
+        params = replace(BASE_PARAMS, p=p, k=k, beta1=beta1)
+        for yi, Li in SMALL_STATES:
+            key = f"p={p!r} k={k!r} beta1={beta1!r} lam={lam!r} y={yi!r} Lambda={Li!r}"
+            state = MarketState(yi, Li, lam)
+            bench, eq = outcome(benchmark_equilibrium, state, params), outcome(equilibrium, state, params)
+            print(f"benchmark {key} {digest(bench)}")
+            if not isinstance(bench, Exception) and not isinstance(eq, Exception):
+                print(f"differences {key} {digest(outcome(benchmark_differences, state, params, eq, bench))}")
+            for i, prices in enumerate(PRICES):
+                print(f"partial {key} prices={i} {digest(outcome(partial_policies, prices, state, params))}")
 
 
 if __name__ == "__main__":
