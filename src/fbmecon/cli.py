@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .equilibrium import MarketState, _first, _price_grid
+from .equilibrium import RESULT_FIELDS, MarketState, _first, _price_grid
 from .estimator import classify_memory, convergence_study, estimate_memory
 from .params import ModelParams, load_config, params_from_config, validate
 from .paths import TimeGrid, simulate_bundle
@@ -43,8 +43,8 @@ def _log(msg: str) -> None:
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 
-_GRID_DEFAULTS = {"T": 1.0, "N": 1000, "refine": 64, "D0": 1.0, "seed": 0}
-_SWEEP_DEFAULTS = {
+_DEFAULTS = {  # the time grid and seed, then the sweep grid
+    "T": 1.0, "N": 1000, "refine": 64, "D0": 1.0, "seed": 0,
     "y_start": 0.0,
     "y_stop": 1.0,
     "y_step": 0.01,
@@ -73,7 +73,7 @@ class RunConfig:
             _log(f"warning: {w}")
 
         def num(key, cast=float):
-            raw = cfg.get(key, _GRID_DEFAULTS.get(key, _SWEEP_DEFAULTS.get(key)))
+            raw = cfg.get(key, _DEFAULTS[key])
             try:
                 return cast(raw)
             except (TypeError, ValueError):
@@ -88,9 +88,9 @@ class RunConfig:
         self.y_stop = num("y_stop")
         self.y_step = num("y_step")
         self.lam = num("lambda")
-        self.p_list = _float_list(cfg.get("p_list", _SWEEP_DEFAULTS["p_list"]), "p_list")
+        self.p_list = _float_list(cfg.get("p_list", _DEFAULTS["p_list"]), "p_list")
         self.Lambda_list = _float_list(
-            cfg.get("Lambda_list", _SWEEP_DEFAULTS["Lambda_list"]), "Lambda_list"
+            cfg.get("Lambda_list", _DEFAULTS["Lambda_list"]), "Lambda_list"
         )
         if self.y_step <= 0:
             raise ValueError("y_step must be positive")
@@ -170,7 +170,7 @@ def _print_equilibrium_block(res) -> None:
             print("  candidates:", ", ".join(f"{v:.6g}" for v in res.candidates))
         return
     print(f"region = {res.region}")
-    for name in csvio.RESULT_FIELDS:
+    for name in RESULT_FIELDS:
         print(f"{name:>8s} = {getattr(res, name):.10g}")
 
 
@@ -235,42 +235,37 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, help="PRNG seed (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("simulate", help="simulate one path bundle")
+    sub.add_parser("simulate", help="simulate one path bundle").set_defaults(run=_cmd_simulate)
 
     est = sub.add_parser("estimate", help="recover memory from a t,Z CSV")
     est.add_argument("input", help="CSV with columns t and Z")
     est.add_argument("--summary", action="store_true", help="print terminal memory and class")
+    est.set_defaults(run=_cmd_estimate)
 
     eq = sub.add_parser("equilibrium", help="solve a single state")
     eq.add_argument("--y", type=float, required=True)
     eq.add_argument("--p", type=float, default=None)
     eq.add_argument("--Lambda", type=float, default=0.0)
     eq.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    eq.set_defaults(run=_cmd_equilibrium)
 
     sw = sub.add_parser("sweep", help="comparative-statics sweep")
     sw.add_argument("--figures", metavar="DIR", help="also emit per-figure CSV files")
+    sw.set_defaults(run=_cmd_sweep)
 
     cv = sub.add_parser("convergence", help="pathwise convergence study")
     cv.add_argument("--factors", default="8,16,32", help="comma list of coarse factors")
     cv.add_argument("--seeds", type=int, default=50)
     cv.add_argument("--n-fine", type=int, default=32768, dest="n_fine")
+    cv.set_defaults(run=_cmd_convergence)
     return parser
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "equilibrium": _cmd_equilibrium,
-    "sweep": _cmd_sweep,
-    "convergence": _cmd_convergence,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ from .estimator import MemoryEstimate
 from .paths import PathBundle, TimeGrid
 
 __all__ = ["fmt", "write_path_csv", "write_memory_csv", "write_sweep_csv", "write_figures",
-           "write_convergence_csv", "read_t_z_csv", "SWEEP_HEADER", "RESULT_FIELDS"]
+           "write_convergence_csv", "read_t_z_csv", "SWEEP_HEADER"]
 
 PATH_HEADER = ["t", "dw", "w", "Lambda", "lambda", "Z", "D_hat"]
 MEMORY_HEADER = ["t", "dw_hat", "Lambda_hat", "lambda_hat"]

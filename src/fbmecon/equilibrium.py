@@ -28,20 +28,10 @@ J(n3; 4) - J(1; 4) = x3 (1 - n3) D/W_C / 2 + K (1 - n3^2) > 0 for p < 1, with
 K = H eps^(2h) delta_C (S/W_C sigma_4)^2; at p = 1, n3 = 1 and Region 3 wins
 the identical test.  So y = 0, like y = 1, is an explicit limit of one branch.
 
-Every state is priced by one vectorised code path, :func:`_solve`: the
-parameter constants are validated and derived once per parameter set, each
-candidate is priced once per batch, and every formula is elementwise over the
-states, protection level p included, so a sweep is one batch.  A single state
-is a 0-d batch: the same path runs on numpy scalars, and only the candidate
-and region tables stay arrays.
-The Region-1 cubic is solved per state in closed form, in the reciprocal
-m = 1/n_C (see :func:`_fixed_point_roots`): its coefficients are scaled by
-an exact power of two, so that extreme memory levels neither overflow nor
-lose digits to the scaling; one root is taken from the trigonometric or
-Cardano form on the side free of cancellation and the others by Vieta's
-relations, since a small root computed as a difference of large ones loses
-its digits; and the arccos, cosine and cube root come from libm, whose
-rounding does not depend on numpy's SIMD dispatch.
+Every state is priced by one vectorised code path, :func:`_solve`, whose
+formulas are elementwise over the states, protection level p included: a
+sweep is one batch, and a single state is a 0-d batch.  The Region-1 cubic
+is solved per state in closed form (:func:`_fixed_point_roots`).
 The preference adjustment is the exponential ratio varphi = exp(beta Lambda)
 set by ``ModelParams.beta1``/``beta2``.  A state whose exponential overflows
 or whose formulas produce a non-finite value gets its own error; the other
@@ -263,6 +253,15 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
         w_M=y + y1 * (qM / qC),
     ))
     return c, fail
+
+
+def _state_context(params: ModelParams, state: MarketState) -> _Ctx:
+    """Context of one state at ``params.p``; the state's first error is raised,
+    as :func:`equilibrium` raises it."""
+    c, fail = _context(params, state.y, state.Lambda, state.lambda_small)
+    if fail.some:
+        raise fail.err[0]
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +783,13 @@ def benchmark_differences(
     All three are proportional to the excess ownership concentration
     n_C - n_C^B; they are a cross-check of the two independent solves, not a
     third solver.  Region-2 states give exactly zero.
+
+    Raises:
+        ValueError: if the parameters or the state are invalid.
+        EquilibriumError: if the state's quantities are not finite, as in
+            :func:`equilibrium`.
     """
-    c, _ = _context(params, state.y, state.Lambda, state.lambda_small)
+    c = _state_context(params, state)
     dn = eq.n_C - bench.n_C
     B_eq = eq.n_C * c.qC + (1.0 - eq.n_C) * c.qM
     mix = (1.0 - c.y) / c.d.delta_C + c.y / c.d.delta_M
@@ -839,7 +843,9 @@ def partial_policies(prices: Prices, state: MarketState, params: ModelParams) ->
 
     Raises:
         ValueError: if a price is not finite, sigma is zero, a ratio is not
-            positive, or the parameters are invalid.
+            positive, or the parameters or the state are invalid.
+        EquilibriumError: if the state's quantities are not finite, as in
+            :func:`equilibrium`.
     """
     for name, value in vars(prices).items():
         if not math.isfinite(value):
@@ -848,7 +854,7 @@ def partial_policies(prices: Prices, state: MarketState, params: ModelParams) ->
         raise ValueError("partial policies need sigma != 0")
     if min(prices.D_over_S, prices.D_over_WC, prices.S_over_WC, prices.S_over_WM) <= 0.0:
         raise ValueError("price ratios must be positive")
-    c, _ = _context(params, state.y, state.Lambda, state.lambda_small)
+    c = _state_context(params, state)
     P = c.P
     # the objective uses the handed ratios, not the state-implied ones
     c.D_S, c.D_WC, c.S_WC = prices.D_over_S, prices.D_over_WC, prices.S_over_WC

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fbmecon import (
     BASE_PARAMS,
+    EquilibriumError,
     MarketState,
     ModelParams,
     Prices,
@@ -440,6 +441,23 @@ def test_differences_match_direct_solves(y, L):
     )
     assert A > 0
     assert math.copysign(1.0, dk) == -math.copysign(1.0, eq.n_C - bench.n_C)
+
+
+@pytest.mark.parametrize("L", [1e4, -1e4])
+@pytest.mark.parametrize("entry", [partial_policies, benchmark_differences],
+                         ids=["partial_policies", "benchmark_differences"])
+def test_context_entry_points_raise_the_state_error(entry, L):
+    # exp(beta Lambda) overflows at +1e4 and its power underflows at -1e4: a state
+    # that equilibrium rejects must not be priced from its non-finite ratios
+    state, inside = MarketState(0.5, L), MarketState(0.5)
+    with pytest.raises(EquilibriumError) as expected:
+        equilibrium(state, BASE_PARAMS)
+    args = ((handed_prices(False), state, BASE_PARAMS) if entry is partial_policies else
+            (state, BASE_PARAMS, equilibrium(inside, BASE_PARAMS), benchmark_equilibrium(inside, BASE_PARAMS)))
+    with pytest.raises(EquilibriumError) as raised:
+        entry(*args)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

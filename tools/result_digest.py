@@ -7,8 +7,9 @@ extreme memory levels (NaN and +-1e4 included); then come its interior
 states with finite memory levels solved one at a time by ``equilibrium``
 (+-1e4 fail), boundary calls and two digests of a whole ``sweep``: one on
 the benchmark grid, and one whose protection levels include an invalid one,
-NaN, -0.0 and a repeat.  On a smaller grid of parameters and states follow
-the other entry points that build a solver context: ``benchmark_equilibrium``,
+NaN, -0.0 and a repeat.  On a smaller grid of parameters and states, whose
+memory levels include both failing extremes +-1e4, follow the other entry
+points that build a solver context: ``benchmark_equilibrium``,
 ``benchmark_differences`` of each state's equilibrium and benchmark, and
 ``partial_policies`` at three finite handed-in price systems.  Run it on two
 versions of the package and diff the outputs to list exactly the states
@@ -38,9 +39,10 @@ BETA1_VALUES = (0.0, 0.1, 0.5, 2.0)
 LAM_VALUES = (0.0, 0.4)
 Y_VALUES = (0.0, 1e-12, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0)
 LAMBDA_VALUES = (math.nan, -1e4, -60.0, -13.0, -5.0, 0.0, 1.0, 5.0, 25.0, 53.0, 1e4)
-# the smaller grid of the other entry points; the states' Lambda = +-1e4 fail
+# the smaller grid of the other entry points; its states at Lambda = +-1e4 fail where beta1 != 0:
+# exp(beta Lambda) overflows at +1e4, and its power underflows at -1e4
 SMALL_GRID = list(itertools.product((0.0, 0.6, 1.0), K_VALUES, (0.0, 0.5), LAM_VALUES))
-SMALL_STATES = list(itertools.product((1e-6, 0.1, 0.5, 0.99), (-1e4, -13.0, 0.0, 5.0, 53.0)))
+SMALL_STATES = list(itertools.product((1e-6, 0.1, 0.5, 0.99), (-1e4, -13.0, 0.0, 5.0, 53.0, 1e4)))
 # handed-in prices (r, mu, sigma, D/S, D/W_C, S/W_C, S/W_M), all finite
 PRICES = (Prices(0.01, 0.05, 0.2, 0.03, 0.05, 1.5, 2.5), Prices(0.02, 0.01, -0.1, 0.04, 0.2, 0.8, 3.0),
           Prices(-0.03, 0.2, 1e-3, 2.0, 1e-4, 50.0, 0.5))
