@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +42,13 @@ def _log(msg: str) -> None:
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 
-_DEFAULTS = {  # the time grid and seed, then the sweep grid
-    "T": 1.0, "N": 1000, "refine": 64, "D0": 1.0, "seed": 0,
-    "y_start": 0.0,
-    "y_stop": 1.0,
-    "y_step": 0.01,
-    "p_list": "1,0.9,0.6",
-    "Lambda_list": "-5,0,5",
-    "lambda": 0.0,
-}
+#: The numeric run settings in read order: (config key, attribute, type, default).
+_SETTINGS = (
+    ("T", "T", float, 1.0), ("N", "N", int, 1000), ("refine", "refine", int, 64),
+    ("D0", "D0", float, 1.0), ("seed", "seed", int, 0),
+    ("y_start", "y_start", float, 0.0), ("y_stop", "y_stop", float, 1.0), ("y_step", "y_step", float, 0.01),
+    ("lambda", "lam", float, 0.0),
+)
 
 
 def _float_list(text: str, key: str) -> list[float]:
@@ -65,33 +62,20 @@ def _float_list(text: str, key: str) -> list[float]:
 
 
 class RunConfig:
-    """Parsed configuration: model parameters plus grid and sweep settings."""
+    """Parsed configuration: model parameters, one attribute per _SETTINGS row, the level lists."""
 
     def __init__(self, cfg: dict[str, str]):
         self.params: ModelParams = params_from_config(cfg)
         for w in validate(self.params):
             _log(f"warning: {w}")
-
-        def num(key, cast=float):
-            raw = cfg.get(key, _DEFAULTS[key])
+        for key, attr, cast, default in _SETTINGS:
+            raw = cfg.get(key, default)
             try:
-                return cast(raw)
+                setattr(self, attr, cast(raw))
             except (TypeError, ValueError):
                 raise ValueError(f"config key {key} is not a number: {raw!r}") from None
-
-        self.T = num("T")
-        self.N = num("N", int)
-        self.refine = num("refine", int)
-        self.D0 = num("D0")
-        self.seed = num("seed", int)
-        self.y_start = num("y_start")
-        self.y_stop = num("y_stop")
-        self.y_step = num("y_step")
-        self.lam = num("lambda")
-        self.p_list = _float_list(cfg.get("p_list", _DEFAULTS["p_list"]), "p_list")
-        self.Lambda_list = _float_list(
-            cfg.get("Lambda_list", _DEFAULTS["Lambda_list"]), "Lambda_list"
-        )
+        self.p_list = _float_list(cfg.get("p_list", "1,0.9,0.6"), "p_list")
+        self.Lambda_list = _float_list(cfg.get("Lambda_list", "-5,0,5"), "Lambda_list")
         if self.y_step <= 0:
             raise ValueError("y_step must be positive")
         if self.T <= 0 or self.N < 1:
@@ -127,8 +111,7 @@ def _require_out(args) -> Path:
 # Subcommands
 
 
-def _cmd_simulate(args) -> int:
-    rc = _load_run_config(args)
+def _cmd_simulate(args, rc: RunConfig) -> int:
     out = _require_out(args)
     _log(f"simulate: T={rc.T:g} N={rc.N} refine={rc.refine} seed={rc.seed}")
     bundle = simulate_bundle(TimeGrid(rc.T, rc.N), rc.params, rc.seed, refine=rc.refine, D0=rc.D0)
@@ -137,8 +120,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    rc = _load_run_config(args)
+def _cmd_estimate(args, rc: RunConfig) -> int:
     if not args.input:
         raise ValueError("estimate needs an input CSV with columns t,Z")
     try:
@@ -174,12 +156,11 @@ def _print_equilibrium_block(res) -> None:
         print(f"{name:>8s} = {getattr(res, name):.10g}")
 
 
-def _cmd_equilibrium(args) -> int:
-    rc = _load_run_config(args)
-    params = rc.params if args.p is None else replace(rc.params, p=args.p)
+def _cmd_equilibrium(args, rc: RunConfig) -> int:
+    p = rc.params.p if args.p is None else args.p
     state = MarketState(args.y, args.Lambda, args.lam)
-    _log(f"equilibrium: y={args.y:g} p={params.p:g} Lambda={args.Lambda:g}")
-    grid = _price_grid(params, [state.y], [params.p], [state.Lambda], state.lambda_small)
+    _log(f"equilibrium: y={args.y:g} p={p:g} Lambda={args.Lambda:g}")
+    grid = _price_grid(rc.params, [state.y], [p], [state.Lambda], state.lambda_small)
     res = _first(grid.batch)
     if args.out:
         csvio.write_sweep_csv(Path(args.out), grid)
@@ -188,8 +169,7 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    rc = _load_run_config(args)
+def _cmd_sweep(args, rc: RunConfig) -> int:
     out = _require_out(args)
     ys = rc.y_grid()
     _log(f"sweep: {len(ys)} x {len(rc.p_list)} x {len(rc.Lambda_list)} states "
@@ -207,8 +187,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    rc = _load_run_config(args)
+def _cmd_convergence(args, rc: RunConfig) -> int:
     factors = [int(f) for f in args.factors.split(",") if f.strip()]
     _log(
         f"convergence: N_fine={args.n_fine} factors={factors} seeds={args.seeds} "
@@ -265,7 +244,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        return args.run(args, _load_run_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -141,7 +141,7 @@ class _Ctx:
     D_S: np.ndarray
     D_WC: np.ndarray
     S_WC: np.ndarray
-    cons_M: np.ndarray  # qM - theta_M lam r1 - H h^2 eps^(2h-2) theta_M ((theta_M-1) r1^2 + r2)
+    cons_M: np.ndarray  # qM - theta_M lam r1 - H h^2 eps^(2h-2) theta_M ((theta_M-1) r1^2 + r1^2)
     r0: np.ndarray  # the part of the interest rate free of holdings and diversion
     w_C: np.ndarray  # (1-y) + y qC/qM
     w_M: np.ndarray  # y + (1-y) qM/qC
@@ -166,19 +166,18 @@ def _param_constants(P: ModelParams) -> tuple[dict, float, float, float]:
             P.H * d.h * d.h * eps ** (2.0 * d.h - 2.0))
 
 
-def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> tuple[np.ndarray, float, float]:
-    """varphi = exp(beta Lambda) per state and its log-derivatives beta, beta^2.
+def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> np.ndarray:
+    """varphi = exp(beta Lambda) per state.
 
     A state whose exponential overflows at a finite memory level fails on
     its own, with the message of the scalar math.exp overflow.
     """
-    beta = d.beta
-    varphi = np.exp(beta * Lam)
+    varphi = np.exp(d.beta * Lam)
     inf = varphi == np.inf
     if _any(inf):
         fail.flag(np.isfinite(Lam) & inf,
                   lambda i: f"adjustment functions failed at Lambda={np.ravel(Lam)[i]:g}: math range error")
-    return varphi, beta, beta * beta
+    return varphi
 
 
 def _constants(P: ModelParams) -> tuple[dict, float, float, float]:
@@ -225,7 +224,7 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
         fail.flag(~inside, lambda i: f"consumption share y must lie in [0, 1], got {float(np.ravel(y)[i])!r}",
                   ValueError)
         fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
-    varphi, r1, r2 = _adjust(d, Lam, fail)
+    varphi, r1 = _adjust(d, Lam, fail), k["r1"]
     # np.power(varphi, theta): exp(theta beta Lambda), or ** on a numpy scalar (libm pow), rounds
     # otherwise; a varphi that underflows to 0 (Lambda = -1e4) fails here
     qC = rho_C * np.power(varphi, d.theta_C)
@@ -239,8 +238,8 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
                   "wealth aggregator", "volatility numerator")
         fail.flag(~finite.all(axis=0),
                   lambda i: f"non-finite {labels[int(np.argmin(finite[:, i]))]} at {fail.at(i)}")
-    cons_C = qC - d.theta_C * lam * r1 - hh * d.theta_C * ((d.theta_C - 1.0) * r1 * r1 + r2)
-    cons_M = qM - d.theta_M * lam * r1 - hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r2)
+    cons_C = qC - d.theta_C * lam * r1 - hh * d.theta_C * ((d.theta_C - 1.0) * r1 * r1 + r1 * r1)
+    cons_M = qM - d.theta_M * lam * r1 - hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r1 * r1)
     net_l = k["net_l"]
     c = _Ctx(dict(
         k, P=P, p=p, n3=1.0 / (1.0 + (1.0 - p) * P.k), y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,

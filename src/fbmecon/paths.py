@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 
+def _check_factor(factor, what: str) -> None:
+    """Raise a ValueError unless ``factor`` (a refinement factor or stride) is an integer >= 1."""
+    if not isinstance(factor, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {factor!r}")
+    if factor < 1:
+        raise ValueError(f"{what} must be >= 1")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < ... < t_N = T with dt = T/N <= 1."""
@@ -56,15 +64,15 @@ class TimeGrid:
         return self.T / self.N
 
     def nodes(self) -> np.ndarray:
-        """Node times n * dt, exact at the endpoints."""
+        """Node times n * dt, exact at the endpoints: the last node is T itself."""
         t = np.arange(self.N + 1) * self.dt
+        t[-1] = self.T
         return t
 
     def refined(self, factor: int) -> "TimeGrid":
         """The factor-fold refinement of this grid."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        return TimeGrid(self.T, self.N * int(factor))
+        _check_factor(factor, "refinement factor")
+        return TimeGrid(self.T, self.N * factor)
 
 
 def simulate_brownian(grid: TimeGrid, seed: int) -> np.ndarray:
@@ -173,6 +181,7 @@ def kernel_sums(
     and a stride keeps every stride-th of them, so a strided result equals
     the plain one subsampled, bit for bit.
     """
+    _check_factor(stride, "stride")
     m = len(dw)
     if m % stride:
         raise ValueError(f"len(dw) = {m} is not a multiple of stride {stride}")
@@ -195,7 +204,7 @@ def memory_exact(
     own increments; larger refinements serve as the quadrature oracle for the
     continuous laws (its own error shrinks as refine grows).
     """
-    refine = int(refine)
+    _check_factor(refine, "refinement factor")
     if len(dw_fine) != grid.N * refine:
         raise ValueError(
             f"expected {grid.N * refine} fine increments (N = {grid.N}, refine = {refine}), "
@@ -302,8 +311,8 @@ def simulate_bundle(
     quadrature error negligible at typical grid steps.
 
     Raises:
-        ValueError: if the parameters are invalid (see :func:`validate`).
+        ValueError: if the parameters are invalid (see :func:`validate`) or
+            refine is not an integer >= 1.
     """
     validate(params)
-    refine = int(refine)
     return _bundle(grid, simulate_brownian(grid.refined(refine), seed), params, refine, D0)

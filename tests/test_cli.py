@@ -514,6 +514,13 @@ CLI_ERRORS = [
     pytest.param("p_list = ,", SWEEP, "config key p_list is empty", id="p_list-empty"),
     pytest.param("y_step = 0", SWEEP, "y_step must be positive", id="y_step-zero"),
     pytest.param("y_start = 1\ny_stop = 0", SWEEP, "empty y grid", id="y-grid-empty"),
+    pytest.param("N = 1.5", SWEEP, "config key N is not a number: '1.5'", id="N-not-int"),
+    # lambda is read into the attribute lam, and before the level lists
+    pytest.param("lambda = x", SWEEP, "config key lambda is not a number: 'x'", id="lambda-junk"),
+    pytest.param("lambda = x\np_list = 1,x", SWEEP, "config key lambda is not a number: 'x'",
+                 id="lambda-before-p_list"),
+    pytest.param("T = 0", SWEEP, "grid needs T > 0 and N >= 1", id="T-zero"),
+    pytest.param("", ["simulate"], "--config PATH is required", id="config-flag-missing"),
     pytest.param("", ["--config", "{tmp}/none.cfg", "simulate"],
                  "cannot read config: [Errno 2] No such file or directory: '{tmp}/none.cfg'",
                  id="config-missing"),

@@ -47,3 +47,19 @@ def test_message_kind_masks_the_numbers_of_a_state():
     ) == "r formula produced a non-finite value at y=#, Lambda=#, n_C=#"
     assert health_scan.message_kind("consumption share y must lie in [0, 1], got 1.5") == (
         "consumption share y must lie in [0, 1], got #")
+
+
+def test_holdings_chain_matches_direct_solves():
+    # violations (y = 0.4, 0.6) and states without an equilibrium (Lambda = -15) both occur
+    ys, Ls = [0.1, 0.4, 0.6, 0.9], [-15.0, -5.0, 0.0, 5.0]
+    y, L = np.repeat(ys, len(Ls)), np.tile(Ls, len(ys))
+    n_C = {}
+    for p in (0.6, 0.9):
+        results = [equilibrium(MarketState(yi, Li), replace(BASE_PARAMS, p=p))
+                   for yi, Li in zip(y.tolist(), L.tolist())]
+        n_C[p] = np.array([r.n_C if r.exists else np.nan for r in results])
+    bad = n_C[0.6] < n_C[0.9]
+    want = (int(bad.sum()), float(y[bad].min()), float(y[bad].max()),
+            int(np.isnan(n_C[0.6]).sum()), int(np.isnan(n_C[0.9]).sum()))
+    assert health_scan.holdings_chain(y, L) == want
+    assert want[0] and want[3] and want[4]

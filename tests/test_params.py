@@ -15,7 +15,7 @@ from fbmecon import (
     params_from_config,
     validate,
 )
-from fbmecon.equilibrium import _adjust, _Failures
+from fbmecon.equilibrium import _adjust, _Failures, _param_constants
 
 
 def test_base_params_pass_validation():
@@ -126,11 +126,13 @@ def test_nonfinite_rejected():
 
 
 def adjust(beta, *levels):
-    """(varphi, varphi'/varphi, varphi''/varphi) and each level's failure."""
+    """(varphi, varphi'/varphi, varphi''/varphi) and each level's failure: varphi
+    per level, and the solver's constant r1 = beta with r1 * r1, as it forms them."""
     Lam = np.array(levels, dtype=float)
     fail = _Failures(np.full(len(Lam), 0.5), Lam)
-    varphi, r1, r2 = _adjust(derive_constants(replace(BASE_PARAMS, beta1=beta)), Lam, fail)
-    return varphi, r1, r2, fail.err
+    P = replace(BASE_PARAMS, beta1=beta)
+    r1 = _param_constants(P)[0]["r1"]
+    return _adjust(derive_constants(P), Lam, fail), r1, r1 * r1, fail.err
 
 
 def test_adjustment_at_zero():

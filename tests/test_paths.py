@@ -31,12 +31,13 @@ def closed_form_var_Lambda(T, eps, H):
 
 
 def test_grid_nodes_exact_endpoints():
-    g = TimeGrid(2.5, 400)
-    t = g.nodes()
-    assert len(t) == 401
-    assert t[0] == 0.0
-    assert t[-1] == 2.5
-    assert np.all(np.diff(t) > 0)
+    # at T = 1, N = 85138 the product N * dt rounds to 0.9999999999999999
+    for T, N in ((2.5, 400), (1.0, 85138)):
+        t = TimeGrid(T, N).nodes()
+        assert len(t) == N + 1
+        assert t[0] == 0.0
+        assert t[-1] == T
+        assert np.all(np.diff(t) > 0)
 
 
 def test_grid_rejects_dt_above_one():
@@ -54,6 +55,20 @@ def test_grid_rejects_bad_inputs():
 def test_grid_rejects_zero_refinement():
     with pytest.raises(ValueError, match=r"^refinement factor must be >= 1$"):
         TimeGrid(1.0, 10).refined(0)
+
+
+@pytest.mark.parametrize("factor", [0, -1, 1.5])
+@pytest.mark.parametrize("call, name", [
+    (lambda f: kernel_sums(np.ones(4), 0.1, 0.1, 1.0, -0.35, stride=f), "stride"),
+    (lambda f: memory_exact(TimeGrid(1.0, 4), np.ones(0), BASE_PARAMS, refine=f), "refinement factor"),
+    (lambda f: simulate_bundle(TimeGrid(1.0, 4), BASE_PARAMS, seed=0, refine=f), "refinement factor"),
+    (lambda f: TimeGrid(1.0, 4).refined(f), "refinement factor"),
+], ids=["kernel_sums", "memory_exact", "simulate_bundle", "refined"])
+def test_refinement_factor_must_be_a_positive_integer(call, name, factor):
+    # neither a modulo by zero nor a negative array size nor a truncation to int
+    message = f"{name} must be an integer, got 1.5" if factor == 1.5 else f"{name} must be >= 1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(factor)
 
 
 # ---------------------------------------------------------------------------
