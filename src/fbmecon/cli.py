@@ -51,13 +51,15 @@ _SETTINGS = (
 )
 
 
-def _float_list(text: str, key: str) -> list[float]:
+def _number_list(text: str, name: str, cast=float) -> list:
+    """The comma-separated values of ``text`` as ``cast``; a ValueError names ``name``."""
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        vals = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"config key {key} is not a comma-separated number list: {text!r}") from None
+        kind = "number" if cast is float else "integer"
+        raise ValueError(f"{name} is not a comma-separated {kind} list: {text!r}") from None
     if not vals:
-        raise ValueError(f"config key {key} is empty")
+        raise ValueError(f"{name} is empty")
     return vals
 
 
@@ -74,8 +76,8 @@ class RunConfig:
                 setattr(self, attr, cast(raw))
             except (TypeError, ValueError):
                 raise ValueError(f"config key {key} is not a number: {raw!r}") from None
-        self.p_list = _float_list(cfg.get("p_list", "1,0.9,0.6"), "p_list")
-        self.Lambda_list = _float_list(cfg.get("Lambda_list", "-5,0,5"), "Lambda_list")
+        self.p_list = _number_list(cfg.get("p_list", "1,0.9,0.6"), "config key p_list")
+        self.Lambda_list = _number_list(cfg.get("Lambda_list", "-5,0,5"), "config key Lambda_list")
         if self.y_step <= 0:
             raise ValueError("y_step must be positive")
         if self.T <= 0 or self.N < 1:
@@ -146,7 +148,7 @@ def _print_equilibrium_block(res) -> None:
     if not res.exists:
         print("equilibrium: DOES NOT EXIST (no region is self-consistent)")
         for j, table in sorted(res.J_tables.items()):
-            cells = ", ".join("nan" if t != t else f"{t:.6g}" for t in table)
+            cells = ", ".join(f"{t:.6g}" for t in table)
             print(f"  J under region-{j} prices: [{cells}]")
         if res.candidates:
             print("  candidates:", ", ".join(f"{v:.6g}" for v in res.candidates))
@@ -188,7 +190,7 @@ def _cmd_sweep(args, rc: RunConfig) -> int:
 
 
 def _cmd_convergence(args, rc: RunConfig) -> int:
-    factors = [int(f) for f in args.factors.split(",") if f.strip()]
+    factors = _number_list(args.factors, "--factors", int)
     _log(
         f"convergence: N_fine={args.n_fine} factors={factors} seeds={args.seeds} "
         f"T={rc.T:g} seed={rc.seed}"

@@ -134,6 +134,7 @@ class _Ctx:
     y: np.ndarray
     Lam: np.ndarray
     lam: np.ndarray
+    varphi: np.ndarray  # the adjustment exp(beta Lambda)
     qC: np.ndarray  # consumption/wealth ratio of C: rho^(1/delta_C) varphi^theta_C
     qM: np.ndarray
     C: np.ndarray  # (1-y)/qC + y/qM, the wealth aggregator
@@ -151,36 +152,25 @@ class _Ctx:
 
 
 @lru_cache(maxsize=64)
-def _param_constants(P: ModelParams) -> tuple[dict, float, float, float]:
-    """The scalar parameter fields of a _Ctx (none depends on p), rho^(1/delta_C),
-    rho^(1/delta_M) and H h^2 eps^(2h-2), derived once per parameter set (equal
-    sets share one entry; an invalid set raises on every call: no exception is cached)."""
+def _param_constants(P: ModelParams) -> dict:
+    """The scalar fields of a _Ctx (none depends on p), plus rho_C = rho^(1/delta_C),
+    rho_M and the lambda-free consumption terms hh_C = H h^2 eps^(2h-2) theta_C
+    ((theta_C-1) r1^2 + r1^2) and hh_M, in one record derived once per parameter set
+    (equal sets share one entry; an invalid set raises on every call: no exception is cached)."""
     validate(P)
     d = derive_constants(P)
     eps, r1 = P.epsilon, d.beta
     (p0, h0), (p1, h1) = _kernel(P, 0), _kernel(P, 1)
     a1 = 2.0 * P.H * d.h * eps ** (2.0 * d.h - 1.0) * r1
-    fields = dict(d=d, vol=float(p0 * eps**h0), lam0=float(p1 * eps**h1), e2h=eps ** (2.0 * d.h),
-                  net_l=1.0 - P.l_C - P.l_M, r1=r1, a_C=d.theta_C * a1, a_M=d.theta_M * a1)
-    return (fields, P.rho ** (1.0 / d.delta_C), P.rho ** (1.0 / d.delta_M),
-            P.H * d.h * d.h * eps ** (2.0 * d.h - 2.0))
+    hh = P.H * d.h * d.h * eps ** (2.0 * d.h - 2.0)
+    return dict(d=d, vol=float(p0 * eps**h0), lam0=float(p1 * eps**h1), e2h=eps ** (2.0 * d.h),
+                net_l=1.0 - P.l_C - P.l_M, r1=r1, a_C=d.theta_C * a1, a_M=d.theta_M * a1,
+                rho_C=P.rho ** (1.0 / d.delta_C), rho_M=P.rho ** (1.0 / d.delta_M),
+                hh_C=hh * d.theta_C * ((d.theta_C - 1.0) * r1 * r1 + r1 * r1),
+                hh_M=hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r1 * r1))
 
 
-def _adjust(d: DerivedParams, Lam: np.ndarray, fail: _Failures) -> np.ndarray:
-    """varphi = exp(beta Lambda) per state.
-
-    A state whose exponential overflows at a finite memory level fails on
-    its own, with the message of the scalar math.exp overflow.
-    """
-    varphi = np.exp(d.beta * Lam)
-    inf = varphi == np.inf
-    if _any(inf):
-        fail.flag(np.isfinite(Lam) & inf,
-                  lambda i: f"adjustment functions failed at Lambda={np.ravel(Lam)[i]:g}: math range error")
-    return varphi
-
-
-def _constants(P: ModelParams) -> tuple[dict, float, float, float]:
+def _constants(P: ModelParams) -> dict:
     """:func:`_param_constants` of ``P``; a ValueError if ``P`` is invalid."""
     try:
         return _param_constants(P)
@@ -206,29 +196,31 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
     y, Lam, lam = (np.asarray(v, dtype=float)[()] for v in (y, Lam, lam))  # 0-d: numpy scalars
     fail = _Failures(y, Lam)
     if p is None:
-        k, p = _constants(params), params.p
+        const, p = _constants(params), params.p
     else:
-        k = None
+        const = None
         levels, at = np.unique(p, return_inverse=True)  # all NaN levels form one group
         for i, level in enumerate(levels.tolist()):
             try:
-                k = _constants(replace(params, p=level))
+                const = _constants(replace(params, p=level))
             except ValueError as exc:
                 fail.flag(at == i, str(exc), ValueError)
-        if k is None:
+        if const is None:
             return None, fail
-    k, rho_C, rho_M, hh = k
-    P, d = params, k["d"]
+    P, d, r1 = params, const["d"], const["r1"]
     inside = (y >= 0.0) & (y <= 1.0)
     if _any(~(inside & np.isfinite(Lam + lam))):
         fail.flag(~inside, lambda i: f"consumption share y must lie in [0, 1], got {float(np.ravel(y)[i])!r}",
                   ValueError)
         fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
-    varphi, r1 = _adjust(d, Lam, fail), k["r1"]
+    varphi = np.exp(d.beta * Lam)
+    if _any(varphi == np.inf):  # a finite level fails alone, with the message of math.exp's overflow
+        fail.flag(np.isfinite(Lam) & (varphi == np.inf),
+                  lambda i: f"adjustment functions failed at Lambda={np.ravel(Lam)[i]:g}: math range error")
     # np.power(varphi, theta): exp(theta beta Lambda), or ** on a numpy scalar (libm pow), rounds
     # otherwise; a varphi that underflows to 0 (Lambda = -1e4) fails here
-    qC = rho_C * np.power(varphi, d.theta_C)
-    qM = rho_M * np.power(varphi, d.theta_M)
+    qC = const["rho_C"] * np.power(varphi, d.theta_C)
+    qM = const["rho_M"] * np.power(varphi, d.theta_M)
     y1 = 1.0 - y
     C = y1 / qC + y / qM
     A = P.sigma_D - (d.h / P.epsilon) * r1 * (d.theta_C * y1 + d.theta_M * y)
@@ -238,11 +230,12 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
                   "wealth aggregator", "volatility numerator")
         fail.flag(~finite.all(axis=0),
                   lambda i: f"non-finite {labels[int(np.argmin(finite[:, i]))]} at {fail.at(i)}")
-    cons_C = qC - d.theta_C * lam * r1 - hh * d.theta_C * ((d.theta_C - 1.0) * r1 * r1 + r1 * r1)
-    cons_M = qM - d.theta_M * lam * r1 - hh * d.theta_M * ((d.theta_M - 1.0) * r1 * r1 + r1 * r1)
-    net_l = k["net_l"]
+    cons_C = qC - d.theta_C * lam * r1 - const["hh_C"]
+    cons_M = qM - d.theta_M * lam * r1 - const["hh_M"]
+    net_l = const["net_l"]
     c = _Ctx(dict(
-        k, P=P, p=p, n3=1.0 / (1.0 + (1.0 - p) * P.k), y=y, Lam=Lam, lam=lam, qC=qC, qM=qM, C=C, A=A,
+        const, P=P, p=p, n3=1.0 / (1.0 + (1.0 - p) * P.k), y=y, Lam=Lam, lam=lam, varphi=varphi,
+        qC=qC, qM=qM, C=C, A=A,
         D_S=net_l / C,
         D_WC=net_l * qC / y1,
         S_WC=C * qC / y1,

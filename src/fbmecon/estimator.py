@@ -44,6 +44,7 @@ from .paths import (
     TimeGrid,
     _bundle,
     _causal_convolve,
+    _check_factor,
     _kernel,
     _lag_weights,
     _step_coefficients,
@@ -183,12 +184,11 @@ def euler_reference(dw: np.ndarray, grid: TimeGrid, params: ModelParams) -> Path
 class ConvergenceReport:
     """Empirical pathwise convergence of the recovery scheme.
 
-    dt_values are the coarse grid steps (decreasing in refinement order is
-    not required; they are stored largest first).  max_errors_Lambda / max_errors_lambda
-    hold one sup-norm error per (seed, dt); the medians and fitted log-log
-    slopes summarize them.  Degenerate coarse factors (factor 1, where the
-    recovery round-trips the fine grid exactly) are reported but excluded
-    from the fit.
+    dt_values are the coarse grid steps, stored largest first.
+    max_errors_Lambda / max_errors_lambda hold one sup-norm error per
+    (seed, dt); the medians and fitted log-log slopes summarize them.
+    Degenerate coarse factors (factor 1, where the recovery round-trips the
+    fine grid exactly) are reported but excluded from the fit.
     """
 
     dt_values: np.ndarray
@@ -221,46 +221,44 @@ def convergence_study(
     the rate is the least-squares slope of log median error against log dt.
 
     Raises:
-        ValueError: if a factor does not divide N_fine, fewer than two
-            non-degenerate factors remain for the fit, or params are invalid.
+        ValueError: if a factor or the seed count is not an integer >= 1, a
+            factor does not divide N_fine, fewer than two non-degenerate
+            factors remain for the fit, or params are invalid.
     """
-    # largest factor (coarsest grid, largest dt) first: dt_values strictly decreasing
-    factors = sorted({int(f) for f in coarse_factors}, reverse=True)
+    factors = list(coarse_factors)
     for f in factors:
-        if f < 1 or N_fine % f:
+        _check_factor(f, "coarse factor")
+        if N_fine % f:
             raise ValueError(f"coarse factor {f} does not divide N_fine = {N_fine}")
+    _check_factor(seeds, "seed count")
+    # largest factor (coarsest grid, largest dt) first: dt_values strictly decreasing
+    factors = sorted(set(factors), reverse=True)
     if sum(1 for f in factors if f > 1) < 2:
         raise ValueError("need at least two factors > 1 to fit a convergence rate")
-    if seeds < 1:
-        raise ValueError("need at least one seed")
 
     fine = TimeGrid(T, N_fine)
-    err_L = np.empty((seeds, len(factors)))
-    err_l = np.empty((seeds, len(factors)))
+    err = np.empty((2, seeds, len(factors)))  # the (Lambda, lambda) errors per seed and factor
     for i in range(seeds):
         dw = simulate_brownian(fine, base_seed + i)
         ref = euler_reference(dw, fine, params)
         for j, f in enumerate(factors):
-            coarse = TimeGrid(T, N_fine // f)
-            est = estimate_memory(ref.Z[::f], coarse, params)
-            err_L[i, j] = np.max(np.abs(est.Lambda_hat - ref.Lambda[::f]))
-            err_l[i, j] = np.max(np.abs(est.lambda_hat - ref.lambda_small[::f]))
+            est = estimate_memory(ref.Z[::f], TimeGrid(T, N_fine // f), params)
+            err[:, i, j] = (np.max(np.abs(est.Lambda_hat - ref.Lambda[::f])),
+                            np.max(np.abs(est.lambda_hat - ref.lambda_small[::f])))
 
-    med_L = np.median(err_L, axis=0)
-    med_l = np.median(err_l, axis=0)
+    med = np.median(err, axis=1)
     dts = np.array([T / (N_fine // f) for f in factors])
 
     fit = np.array([f > 1 for f in factors])
     with np.errstate(divide="ignore"):
-        rate_L = float(np.polyfit(np.log(dts[fit]), np.log(med_L[fit]), 1)[0])
-        rate_l = float(np.polyfit(np.log(dts[fit]), np.log(med_l[fit]), 1)[0])
+        rate_L, rate_l = (float(np.polyfit(np.log(dts[fit]), np.log(m[fit]), 1)[0]) for m in med)
     return ConvergenceReport(
         dt_values=dts,
         factors=np.array(factors),
-        max_errors_Lambda=err_L,
-        max_errors_lambda=err_l,
-        median_err_Lambda=med_L,
-        median_err_lambda=med_l,
+        max_errors_Lambda=err[0],
+        max_errors_lambda=err[1],
+        median_err_Lambda=med[0],
+        median_err_lambda=med[1],
         fitted_rate_Lambda=rate_L,
         fitted_rate_lambda=rate_l,
         fitted_rate=min(rate_L, rate_l),

@@ -532,6 +532,10 @@ CLI_ERRORS = [
                  id="input-missing"),
     pytest.param("", RUN + ["estimate", "{tmp}/one.csv"],
                  "{tmp}/one.csv: need at least two samples, got 1", id="input-one-row"),
+    pytest.param("", RUN + ["convergence", "--factors", "8,x"],
+                 "--factors is not a comma-separated integer list: '8,x'", id="factors-junk"),
+    pytest.param("", RUN + ["convergence", "--factors", "2.5,4"],
+                 "--factors is not a comma-separated integer list: '2.5,4'", id="factors-float"),
 ]
 
 

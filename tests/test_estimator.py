@@ -289,6 +289,13 @@ def test_convergence_rejects_bad_factors():
         convergence_study(BASE_PARAMS, 1.0, 2**10, (1, 8), seeds=2)
     with pytest.raises(ValueError):
         convergence_study(BASE_PARAMS, 1.0, 2**10, (8, 16), seeds=0)
+    # a factor or seed count that is not an integer >= 1 is refused, not truncated
+    with pytest.raises(ValueError, match="coarse factor must be an integer, got 2.5"):
+        convergence_study(BASE_PARAMS, 1.0, 64, [2.5, 4.9], 1)
+    with pytest.raises(ValueError, match="seed count must be an integer, got 2.5"):
+        convergence_study(BASE_PARAMS, 1.0, 2**10, (8, 16), seeds=2.5)
+    with pytest.raises(ValueError, match="coarse factor must be >= 1"):
+        convergence_study(BASE_PARAMS, 1.0, 64, (0, 8, 16), seeds=1)
 
 
 def test_convergence_monotone_decay_many_seeds():

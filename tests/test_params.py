@@ -15,7 +15,7 @@ from fbmecon import (
     params_from_config,
     validate,
 )
-from fbmecon.equilibrium import _adjust, _Failures, _param_constants
+from fbmecon.equilibrium import _context
 
 
 def test_base_params_pass_validation():
@@ -128,11 +128,8 @@ def test_nonfinite_rejected():
 def adjust(beta, *levels):
     """(varphi, varphi'/varphi, varphi''/varphi) and each level's failure: varphi
     per level, and the solver's constant r1 = beta with r1 * r1, as it forms them."""
-    Lam = np.array(levels, dtype=float)
-    fail = _Failures(np.full(len(Lam), 0.5), Lam)
-    P = replace(BASE_PARAMS, beta1=beta)
-    r1 = _param_constants(P)[0]["r1"]
-    return _adjust(derive_constants(P), Lam, fail), r1, r1 * r1, fail.err
+    c, fail = _context(replace(BASE_PARAMS, beta1=beta), np.full(len(levels), 0.5), levels, 0.0)
+    return c.varphi, c.r1, c.r1 * c.r1, fail.err
 
 
 def test_adjustment_at_zero():

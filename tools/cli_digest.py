@@ -11,13 +11,15 @@ recovery), and once with H = 0.9, epsilon = 1e-5, N = 256 and refine = 4,
 whose recovery is ill-conditioned and refused (``estimate_illconditioned``);
 a convergence study, ``sweep --figures`` on the benchmark grid, on a grid of
 edge values and on a grid whose labels reach the text writer's edges, single
-states at both boundaries and inside, a calibration with no equilibrium, and
-three runs that fail validation.  Each call gives the line
-``label exit=<code> stdout=<sha256> stderr=<sha256>`` and each file it wrote
-the line ``label/file <sha256>``; the temporary path is masked in the
-captured text.  The lines are printed sorted.  Run it on two
-versions of the package and diff the outputs to see which outputs a change
-alters:
+states at both boundaries and inside, a calibration with no equilibrium,
+three runs that fail validation, and three convergence studies whose
+``--factors`` are refused: ``8,x`` and ``2.5,4``, which are not integer
+lists, and ``0,8,16`` at ``--n-fine 64``, whose factor 0 is below 1.  Each
+call gives the line ``label exit=<code> stdout=<sha256> stderr=<sha256>``
+and each file it wrote the line ``label/file <sha256>``; the temporary path
+is masked in the captured text.  The lines are printed sorted.  Run it on
+two versions of the package and diff the outputs to see which outputs a
+change alters:
 
     PYTHONPATH=src python tools/cli_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/cli_digest.py > old.txt
@@ -108,6 +110,10 @@ def calls(tmp: Path) -> list[tuple[str, list[str]]]:
         ("error_no_out", ["--config", base, "simulate"]),
         ("error_p_list", ["--config", bad_list, "--out", "{out}/sweep.csv", "sweep"]),
     ]
+    for label, factors, n_fine in (("junk", "8,x", "4096"), ("float", "2.5,4", "4096"),
+                                   ("zero", "0,8,16", "64")):
+        out.append((f"error_factors_{label}", ["--config", base, "convergence", "--factors", factors,
+                                               "--n-fine", n_fine]))
     return out
 
 
