@@ -78,16 +78,21 @@ class RunConfig:
                 raise ValueError(f"config key {key} is not a number: {raw!r}") from None
         self.p_list = _number_list(cfg.get("p_list", "1,0.9,0.6"), "config key p_list")
         self.Lambda_list = _number_list(cfg.get("Lambda_list", "-5,0,5"), "config key Lambda_list")
+        for key in ("y_start", "y_stop", "y_step"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"config key {key} must be finite, got {getattr(self, key)!r}")
         if self.y_step <= 0:
             raise ValueError("y_step must be positive")
         if self.T <= 0 or self.N < 1:
             raise ValueError("grid needs T > 0 and N >= 1")
 
     def y_grid(self) -> np.ndarray:
-        count = int(np.floor((self.y_stop - self.y_start) / self.y_step + 1e-9)) + 1
+        count = np.floor((self.y_stop - self.y_start) / self.y_step + 1e-9) + 1
+        if not count < 2.0**63:  # an infinite count included
+            raise ValueError(f"y grid has too many points: {count:g}")
         if count < 1:
             raise ValueError("empty y grid")
-        return np.linspace(self.y_start, self.y_start + self.y_step * (count - 1), count)
+        return np.linspace(self.y_start, self.y_start + self.y_step * (count - 1), int(count))
 
 
 def _load_run_config(args) -> RunConfig:

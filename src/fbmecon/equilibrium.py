@@ -179,37 +179,34 @@ def _constants(P: ModelParams) -> dict:
         raise
 
 
-def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Failures]:
-    """Context of a batch at the protection levels ``p`` of its states, or of
-    one state (0-d) at ``params.p``, plus its failure record.
+def _level_error(params: ModelParams, level: float) -> str:
+    """The message with which :func:`validate` rejects ``params`` at the invalid level ``level``."""
+    try:
+        validate(replace(params, p=level))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _context(params: ModelParams, y, Lam, lam, p) -> tuple[_Ctx, _Failures]:
+    """Context of a batch of states at their protection levels ``p``, or of
+    one state (0-d), plus its failure record.
 
     The parameters are validated and their constants derived once per
-    parameter set (:func:`_param_constants`), so once per distinct level of
-    ``p``; the states of an invalid level fail with its ValueError, and the
-    context is None when no level is valid.  Invalid states (y outside
-    [0, 1], non-finite memory) fail with a ValueError; non-finite state
-    quantities fail with an EquilibriumError.
+    parameter set (:func:`_param_constants`).  A state outside its domain
+    (p or y outside [0, 1], non-finite memory) fails with a ValueError, at an
+    invalid p with :func:`validate`'s message at that level; non-finite
+    state quantities fail with an EquilibriumError.
 
     Raises:
-        ValueError: if ``p`` is None and the parameters are invalid.
+        ValueError: if the parameters are invalid.
     """
-    y, Lam, lam = (np.asarray(v, dtype=float)[()] for v in (y, Lam, lam))  # 0-d: numpy scalars
+    const = _constants(params)  # invalid parameters raise before any state is read
+    y, Lam, lam, p = (np.asarray(v, dtype=float)[()] for v in (y, Lam, lam, p))  # 0-d: numpy scalars
     fail = _Failures(y, Lam)
-    if p is None:
-        const, p = _constants(params), params.p
-    else:
-        const = None
-        levels, at = np.unique(p, return_inverse=True)  # all NaN levels form one group
-        for i, level in enumerate(levels.tolist()):
-            try:
-                const = _constants(replace(params, p=level))
-            except ValueError as exc:
-                fail.flag(at == i, str(exc), ValueError)
-        if const is None:
-            return None, fail
     P, d, r1 = params, const["d"], const["r1"]
-    inside = (y >= 0.0) & (y <= 1.0)
-    if _any(~(inside & np.isfinite(Lam + lam))):
+    inside, level = (y >= 0.0) & (y <= 1.0), (p >= 0.0) & (p <= 1.0)
+    if _any(~(inside & level & np.isfinite(Lam + lam))):
+        fail.flag(~level, lambda i: _level_error(params, float(np.ravel(p)[i])), ValueError)
         fail.flag(~inside, lambda i: f"consumption share y must lie in [0, 1], got {float(np.ravel(y)[i])!r}",
                   ValueError)
         fail.flag(~(np.isfinite(Lam) & np.isfinite(lam)), "memory levels must be finite", ValueError)
@@ -250,7 +247,7 @@ def _context(params: ModelParams, y, Lam, lam, p=None) -> tuple[_Ctx | None, _Fa
 def _state_context(params: ModelParams, state: MarketState) -> _Ctx:
     """Context of one state at ``params.p``; the state's first error is raised,
     as :func:`equilibrium` raises it."""
-    c, fail = _context(params, state.y, state.Lambda, state.lambda_small)
+    c, fail = _context(params, state.y, state.Lambda, state.lambda_small, params.p)
     if fail.some:
         raise fail.err[0]
     return c
@@ -651,18 +648,15 @@ def _results(b: _Batch) -> list:
 
 
 @np.errstate(all="ignore")
-def _solve(params: ModelParams, y, Lam, lam, p=None) -> _Batch:
-    """Equilibria of the states (y, Lam, lam) at their levels ``p``, as one batch;
-    a single state (0-d) may take ``params.p`` instead.
+def _solve(params: ModelParams, y, Lam, lam, p) -> _Batch:
+    """Equilibria of the states (y, Lam, lam) at their protection levels ``p``,
+    as one batch, or of one state (0-d).
 
     Each candidate is priced once, in :func:`_candidates`.  The boundary
     states y in {0, 1} take their explicit limits in the same pass; only a
     batch with boundary states prices again.
     """
     c, fail = _context(params, y, Lam, lam, p)
-    if c is None:  # no level has valid parameters: every state has failed
-        nan = np.full((len(_FIELDS), np.size(y)), np.nan)
-        return _Batch(np.array([y, Lam, lam, p]), np.zeros(np.size(y), int), nan, fail.err)
     y = c.y  # as numpy values: a single state may come as Python floats
     interior = (y > 0.0) & (y < 1.0)
     live = interior & ~fail.failed.reshape(np.shape(y)) if fail.some else interior
@@ -708,8 +702,8 @@ def equilibrium_batch(y, Lambda, lam, params: ModelParams) -> list[EquilibriumRe
     Raises:
         ValueError: if the parameters are invalid (see :func:`validate`).
     """
-    _constants(params)  # invalid parameters raise, before any state is priced
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, Lambda, lam, params.p)))
+    # params.p as given, so that _context rejects an invalid one with validate's message
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, Lambda, lam)), params.p)
     return _results(_solve(params, *(np.ravel(v) for v in arrays)))
 
 
@@ -734,7 +728,7 @@ def equilibrium(state: MarketState, params: ModelParams) -> EquilibriumResult:
         ValueError: if the parameters are invalid.
         EquilibriumError: if the solve fails at this state.
     """
-    return _first(_solve(params, state.y, state.Lambda, state.lambda_small))
+    return _first(_solve(params, state.y, state.Lambda, state.lambda_small, params.p))
 
 
 @np.errstate(all="ignore")
@@ -746,7 +740,7 @@ def benchmark_equilibrium(state: MarketState, params: ModelParams) -> Equilibriu
     """
     if not 0.0 < state.y < 1.0:
         raise ValueError("benchmark equilibrium requires y strictly inside (0, 1)")
-    c, fail = _context(replace(params, p=1.0), state.y, state.Lambda, state.lambda_small)
+    c, fail = _context(replace(params, p=1.0), state.y, state.Lambda, state.lambda_small, 1.0)
     n_B = _n2(c)
     return _first(_finish(c, fail, 2, n_B, *_prices(c, n_B)))
 
@@ -904,8 +898,8 @@ class _Grid:
 
 def _price_grid(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0.0) -> _Grid:
     """The (y, p, Lambda) cross product as one :func:`_solve` batch, in row order
-    (y outermost, then p, then Lambda); every state of a p whose parameters are
-    invalid fails with their ValueError."""
+    (y outermost, then p, then Lambda); invalid parameters raise, and every
+    state of an invalid level p fails with validate's ValueError at that level."""
     axes = [[float(v) for v in vals] for vals in (y_values, p_values, Lambda_values)]
     y, p, Lam = (v.ravel() for v in np.meshgrid(*axes, indexing="ij"))
     return _Grid(*axes, _solve(params, y, Lam, np.full(y.size, float(lam)), p))
@@ -917,7 +911,8 @@ def sweep(params: ModelParams, y_values, p_values, Lambda_values, lam: float = 0
     Rows are emitted in deterministic order: y outermost, then p, then
     Lambda.  The small memory level is held fixed (default 0).  The grid is
     one :func:`_solve` batch of :func:`_price_grid`; a row that fails, or every
-    row of a p whose parameters are invalid, records its error and the sweep goes on.
+    row of a level p outside [0, 1], records its error and the sweep goes on;
+    invalid parameters raise their ValueError, as in :func:`equilibrium_batch`.
     """
     b = _price_grid(params, y_values, p_values, Lambda_values, lam).batch
     return [SweepRow(y, p, L, None, error=str(res)) if isinstance(res, Exception) else

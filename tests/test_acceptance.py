@@ -33,6 +33,7 @@ from fbmecon import (
     memory_exact,
     partial_policies,
     simulate_brownian,
+    sweep,
     convergence_study,
 )
 
@@ -402,6 +403,34 @@ def test_criterion09g_boundary_volatility_ordering():
         f"sigma_H(y->0)={lo.sigma_H:.6f} vs sigma_H(y->1)={hi.sigma_H:.6f}: "
         "the stated ordering is reversed at this calibration (see decisions ledger)"
     )
+
+
+def test_memory_headline_at_the_concentration_threshold():
+    # PAPER.md: good (bad) memory strengthens (weakens) investor protection
+    # when the ownership concentration is high enough, and the reverse when it
+    # is low.  The Region-2 holding n2 meets the kink n3 = 1/(1 + (1-p) k) at
+    # y*(p, Lambda) = 1/(1 + delta_C q_C / ((1-p) k delta_M q_M)), with
+    # q_i = rho^(1/delta_i) exp(theta_i beta Lambda).  Good memory raises n_C
+    # (criterion 9e), so the diversion x* = (1 - n_C)/k falls with Lambda below
+    # the threshold and x* = (1 - p) n_C rises above it.
+    P, d = BASE_PARAMS, derive_constants(BASE_PARAMS)
+
+    def y_star(p, L):
+        q_C = P.rho ** (1.0 / d.delta_C) * math.exp(d.theta_C * P.beta * L)
+        q_M = P.rho ** (1.0 / d.delta_M) * math.exp(d.theta_M * P.beta * L)
+        return 1.0 / (1.0 + d.delta_C * q_C / ((1.0 - p) * P.k * d.delta_M * q_M))
+
+    ys, ps = [i / 100.0 for i in range(1, 100)], (0.0, 0.3, 0.6, 0.9)
+    x = {(r.y, r.p, r.Lambda): r.result.x_star for r in sweep(P, ys, ps, (-5.0, 5.0))}
+    for p in ps:
+        low, high = y_star(p, -5.0), y_star(p, 5.0)
+        assert 0.0 < low < high < 1.0
+        for y in ys:
+            good, bad = x[(y, p, 5.0)], x[(y, p, -5.0)]
+            if y < low:
+                assert good < bad, f"x* rises with memory at p={p:g}, y={y:g} < y*={low:.3f}"
+            if y > high:
+                assert good > bad, f"x* falls with memory at p={p:g}, y={y:g} > y*={high:.3f}"
 
 
 # ---------------------------------------------------------------------------

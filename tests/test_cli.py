@@ -514,6 +514,14 @@ CLI_ERRORS = [
     pytest.param("p_list = ,", SWEEP, "config key p_list is empty", id="p_list-empty"),
     pytest.param("y_step = 0", SWEEP, "y_step must be positive", id="y_step-zero"),
     pytest.param("y_start = 1\ny_stop = 0", SWEEP, "empty y grid", id="y-grid-empty"),
+    # a y grid that cannot be built names its key, or the grid for an overflowing point count
+    pytest.param("y_stop = inf", SWEEP, "config key y_stop must be finite, got inf", id="y_stop-inf"),
+    pytest.param("y_start = -inf", SWEEP, "config key y_start must be finite, got -inf", id="y_start-inf"),
+    pytest.param("y_start = nan", SWEEP, "config key y_start must be finite, got nan", id="y_start-nan"),
+    pytest.param("y_step = nan", SWEEP, "config key y_step must be finite, got nan", id="y_step-nan"),
+    pytest.param("y_step = inf", SWEEP, "config key y_step must be finite, got inf", id="y_step-inf"),
+    pytest.param("y_stop = 1e308\ny_step = 0.05", SWEEP,
+                 "y grid has too many points: inf", id="y-grid-overflow"),
     pytest.param("N = 1.5", SWEEP, "config key N is not a number: '1.5'", id="N-not-int"),
     # lambda is read into the attribute lam, and before the level lists
     pytest.param("lambda = x", SWEEP, "config key lambda is not a number: 'x'", id="lambda-junk"),

@@ -356,9 +356,8 @@ _GAMMA_TEXT = "invalid parameters: gamma_C must exceed 1"
 
 
 @pytest.mark.parametrize("params, ps, errors", [
-    # gamma_C is invalid, so every level is, and p = 2 adds its own error
-    (replace(BASE_PARAMS, gamma_C=1.0), [0.6, 2.0],
-     [_GAMMA_TEXT, _GAMMA_TEXT + "; p must lie in [0, 1]"]),
+    # gamma_C is invalid, so the sweep raises, as equilibrium_batch does
+    (replace(BASE_PARAMS, gamma_C=1.0), [0.6, 2.0], ValueError(_GAMMA_TEXT)),
     # no level is valid
     (BASE_PARAMS, [2.0, math.nan],
      ["invalid parameters: p must lie in [0, 1]", "invalid parameters: p must be a finite real, got nan"]),
@@ -366,6 +365,11 @@ _GAMMA_TEXT = "invalid parameters: gamma_C must exceed 1"
 def test_sweep_records_each_invalid_level(params, ps, errors):
     # each row records its level's full message, before any of its state's own
     ys, Ls = [0.0, 0.5, 1.5], [0.0, 1e4]
+    if isinstance(errors, Exception):
+        with pytest.raises(type(errors)) as info:
+            sweep(params, ys, ps, Ls)
+        assert str(info.value) == str(errors)
+        return
     rows = sweep(params, ys, ps, Ls)
     assert [(row.y, row.Lambda, row.result, row.error) for row in rows] == [
         (y, L, None, error) for y in ys for error in errors for L in Ls]
@@ -458,7 +462,7 @@ def test_first_error_of_each_stage_is_pinned():
         assert _outcome(got) == _outcome(want), state
         # a 0-d batch (MarketState itself rejects the invalid states) fails alike
         try:
-            got = eqmod._first(eqmod._solve(params, *(np.float64(v) for v in state)))
+            got = eqmod._first(eqmod._solve(params, *(np.float64(v) for v in state), params.p))
         except (ValueError, EquilibriumError) as exc:
             got = exc
         assert _outcome(got) == _outcome(want), state
@@ -556,12 +560,12 @@ def test_constants_are_derived_once_per_parameter_set(monkeypatch):
         assert len(calls) == 1 and eqmod._param_constants.cache_info().currsize == 1
         equilibrium(MarketState(0.5), NOEQ)
         assert len(calls) == 2
-        # a sweep validates each distinct level once: equal levels, signed
-        # zeros and every NaN level (which fails validate) share one group
+        # a sweep derives the constants of its one parameter set once, whatever
+        # its levels; each NaN level fails its rows with validate's message
         eqmod._param_constants.cache_clear()
-        calls.clear()
-        sweep(BASE_PARAMS, [0.2, 0.5], [0.6, 0.6, -0.0, math.nan, 0.0, math.nan], [0.0, 1.0])
-        assert sorted(P.p for P in calls if P.p == P.p) == [0.0, 0.6] and len(calls) == 3
+        rows = sweep(BASE_PARAMS, [0.2, 0.5], [0.6, 0.6, -0.0, math.nan, 0.0, math.nan], [0.0, 1.0])
+        assert eqmod._param_constants.cache_info().currsize == 1
+        assert {r.error for r in rows if r.p != r.p} == {"invalid parameters: p must be a finite real, got nan"}
     finally:
         eqmod._param_constants.cache_clear()
 

@@ -128,7 +128,7 @@ def test_nonfinite_rejected():
 def adjust(beta, *levels):
     """(varphi, varphi'/varphi, varphi''/varphi) and each level's failure: varphi
     per level, and the solver's constant r1 = beta with r1 * r1, as it forms them."""
-    c, fail = _context(replace(BASE_PARAMS, beta1=beta), np.full(len(levels), 0.5), levels, 0.0)
+    c, fail = _context(replace(BASE_PARAMS, beta1=beta), np.full(len(levels), 0.5), levels, 0.0, BASE_PARAMS.p)
     return c.varphi, c.r1, c.r1 * c.r1, fail.err
 
 

@@ -12,7 +12,9 @@ whose recovery is ill-conditioned and refused (``estimate_illconditioned``);
 a convergence study, ``sweep --figures`` on the benchmark grid, on a grid of
 edge values and on a grid whose labels reach the text writer's edges, single
 states at both boundaries and inside, a calibration with no equilibrium,
-three runs that fail validation, and three convergence studies whose
+five runs that fail validation (two of them sweeps over a y grid that
+cannot be built: y_stop = inf, and a point count that overflows at
+y_stop = 1e308), and three convergence studies whose
 ``--factors`` are refused: ``8,x`` and ``2.5,4``, which are not integer
 lists, and ``0,8,16`` at ``--n-fine 64``, whose factor 0 is below 1.  Each
 call gives the line ``label exit=<code> stdout=<sha256> stderr=<sha256>``
@@ -79,6 +81,8 @@ def calls(tmp: Path) -> list[tuple[str, list[str]]]:
     none = write_config(tmp / "none.cfg", NO_EQUILIBRIUM)
     bad_rho = write_config(tmp / "bad_rho.cfg", dataclasses.replace(BASE_PARAMS, rho=-1.0))
     bad_list = write_config(tmp / "bad_list.cfg", p_list="1,x")
+    inf_y = write_config(tmp / "inf_y.cfg", y_stop="inf")
+    huge_y = write_config(tmp / "huge_y.cfg", y_stop="1e308", y_step="0.05")
     out = []
     for label, cfg in (("", base), ("_tiny", tiny), ("_huge", huge), ("_blocks", blocks),
                        ("_illconditioned", steep)):
@@ -109,6 +113,8 @@ def calls(tmp: Path) -> list[tuple[str, list[str]]]:
         ("error_rho", ["--config", bad_rho, "equilibrium", "--y", "0.5"]),
         ("error_no_out", ["--config", base, "simulate"]),
         ("error_p_list", ["--config", bad_list, "--out", "{out}/sweep.csv", "sweep"]),
+        ("error_y_stop", ["--config", inf_y, "--out", "{out}/sweep.csv", "sweep"]),
+        ("error_y_grid", ["--config", huge_y, "--out", "{out}/sweep.csv", "sweep"]),
     ]
     for label, factors, n_fine in (("junk", "8,x", "4096"), ("float", "2.5,4", "4096"),
                                    ("zero", "0,8,16", "64")):

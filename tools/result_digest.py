@@ -5,9 +5,10 @@ EquilibriumResult or of the exception it failed with.  The grid crosses
 protection levels, diversion costs, memory slopes, both boundaries and
 extreme memory levels (NaN and +-1e4 included); then come its interior
 states with finite memory levels solved one at a time by ``equilibrium``
-(+-1e4 fail), boundary calls and two digests of a whole ``sweep``: one on
-the benchmark grid, and one whose protection levels include an invalid one,
-NaN, -0.0 and a repeat.  On a smaller grid of parameters and states, whose
+(+-1e4 fail), boundary calls and three digests of a whole ``sweep``: one on
+the benchmark grid, one whose protection levels include an invalid one,
+NaN, -0.0 and a repeat, and one at those levels over an invalid parameter
+set, which raises.  On a smaller grid of parameters and states, whose
 memory levels include both failing extremes +-1e4, follow the other entry
 points that build a solver context: ``benchmark_equilibrium``,
 ``benchmark_differences`` of each state's equilibrium and benchmark, and
@@ -83,6 +84,9 @@ def main() -> None:
     print(f"sweep rows={len(rows)} {digest(rows)}")
     rows = sweep(BASE_PARAMS, Y_VALUES, (0.6, 2.0, math.nan, -0.0, 0.6), LAMBDA_VALUES)
     print(f"sweep edge rows={len(rows)} {digest(rows)}")
+    rows = outcome(sweep, replace(BASE_PARAMS, gamma_C=1.0), Y_VALUES, (0.6, 2.0, math.nan, -0.0, 0.6),
+                   LAMBDA_VALUES)
+    print(f"sweep invalid-params {digest(rows)}")
     for p, k, beta1, lam in SMALL_GRID:
         params = replace(BASE_PARAMS, p=p, k=k, beta1=beta1)
         for yi, Li in SMALL_STATES:
